@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <set>
 
 #include "analysis/dataflow/ifds.h"
@@ -70,8 +71,22 @@ void ExtractTableAfter(const std::string& text, const std::string& keyword,
 
 std::string LabeledObservable(const std::string& callee,
                               const std::string& function, int block_id) {
-  return util::StrFormat("%s_Q%s_%d", callee.c_str(), function.c_str(),
-                         block_id);
+  std::string out;
+  AppendLabeledObservable(callee, function, block_id, &out);
+  return out;
+}
+
+void AppendLabeledObservable(const std::string& callee,
+                             const std::string& function, int block_id,
+                             std::string* out) {
+  // "%s_Q%s_%d": the names go in up to their first NUL, as %s would.
+  out->append(callee.c_str());
+  out->append("_Q");
+  out->append(function.c_str());
+  out->push_back('_');
+  char digits[16];
+  const auto result = std::to_chars(digits, digits + sizeof(digits), block_id);
+  out->append(digits, result.ptr);
 }
 
 std::map<int, const prog::Expr*> IndexCallSites(

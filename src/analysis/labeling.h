@@ -19,6 +19,12 @@ namespace adprom::analysis {
 std::string LabeledObservable(const std::string& callee,
                               const std::string& function, int block_id);
 
+/// Appends LabeledObservable(callee, function, block_id) to `out` without
+/// building a temporary, so a reused buffer composes it allocation-free.
+void AppendLabeledObservable(const std::string& callee,
+                             const std::string& function, int block_id,
+                             std::string* out);
+
 /// Collects every call expression of the program keyed by call-site id.
 std::map<int, const prog::Expr*> IndexCallSites(
     const prog::Program& program);

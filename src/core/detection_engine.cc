@@ -2,11 +2,37 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 
 namespace adprom::core {
 
+namespace {
+
+/// Orders context pairs against (caller, callee) string views, so the
+/// per-event lookup compares in place instead of copying both names.
+struct ContextLess {
+  using View = std::pair<std::string_view, std::string_view>;
+  static View AsView(const std::pair<std::string, std::string>& pair) {
+    return {pair.first, pair.second};
+  }
+  bool operator()(const std::pair<std::string, std::string>& a,
+                  const View& b) const {
+    return AsView(a) < b;
+  }
+  bool operator()(const View& a,
+                  const std::pair<std::string, std::string>& b) const {
+    return a < AsView(b);
+  }
+};
+
+}  // namespace
+
 DetectionEngine::DetectionEngine(const ApplicationProfile* profile)
-    : profile_(profile), use_sparse_(!profile->options.dense_kernels) {
+    : profile_(profile),
+      // std::set iterates in pair order, so the copy is already sorted.
+      context_pairs_(profile->context_pairs.begin(),
+                     profile->context_pairs.end()),
+      use_sparse_(!profile->options.dense_kernels) {
   if (use_sparse_) {
     sparse_ = hmm::SparseHmm(profile->model);
     if (profile->options.batch_width > 0) {
@@ -19,19 +45,31 @@ DetectionEngine::DetectionEngine(const ApplicationProfile* profile)
   }
 }
 
+int DetectionEngine::SymbolOf(const runtime::CallEvent& event,
+                              std::string* key) const {
+  return profile_->alphabet.Lookup(profile_->ObservableInto(event, key));
+}
+
+bool DetectionEngine::InContext(const runtime::CallEvent& event) const {
+  const ContextLess::View pair(event.caller, event.callee);
+  return std::binary_search(context_pairs_.begin(), context_pairs_.end(), pair,
+                            ContextLess());
+}
+
 Detection DetectionEngine::AssembleVerdict(
     std::span<const runtime::CallEvent> window, hmm::SymbolSpan seq,
-    size_t window_start, double score) const {
+    std::span<const uint8_t> in_context, size_t window_start,
+    double score) const {
   Detection detection;
   detection.window_start = window_start;
   detection.score = score;
 
   // Out-of-context check: a library call issued from a function that never
   // issues it, statically or during training.
-  for (const runtime::CallEvent& event : window) {
-    if (!profile_->context_pairs.contains({event.caller, event.callee})) {
+  for (size_t i = 0; i < window.size(); ++i) {
+    if (in_context[i] == 0) {
       detection.flag = DetectionFlag::kOutOfContext;
-      detection.detail = event.callee + " called from " + event.caller;
+      detection.detail = window[i].callee + " called from " + window[i].caller;
       break;
     }
   }
@@ -89,15 +127,14 @@ Detection DetectionEngine::AssembleVerdict(
   return detection;
 }
 
-Detection DetectionEngine::EvaluateEncoded(
+Detection DetectionEngine::AssembleVerdict(
     std::span<const runtime::CallEvent> window, hmm::SymbolSpan seq,
-    size_t window_start, hmm::ForwardWorkspace* workspace) const {
-  auto score =
-      use_sparse_
-          ? hmm::PerSymbolLogLikelihood(sparse_, seq, workspace)
-          : hmm::PerSymbolLogLikelihood(profile_->model, seq, workspace);
-  return AssembleVerdict(window, seq, window_start,
-                         score.ok() ? *score : -1e9);
+    size_t window_start, double score) const {
+  std::vector<uint8_t> in_context(window.size());
+  for (size_t i = 0; i < window.size(); ++i) {
+    in_context[i] = InContext(window[i]) ? 1 : 0;
+  }
+  return AssembleVerdict(window, seq, in_context, window_start, score);
 }
 
 void DetectionEngine::ScoreWindows(std::span<const hmm::SymbolSpan> seqs,
@@ -112,7 +149,7 @@ void DetectionEngine::ScoreWindows(std::span<const hmm::SymbolSpan> seqs,
         batch_.ScoreBatch(seqs, profile_->threshold, ws, out);
     if (status.ok()) return;
     // Fall through to the window-at-a-time path (mixed-length or invalid
-    // input; EvaluateEncoded's score semantics apply per window).
+    // input; an unscorable window gets -1e9).
   }
   for (size_t i = 0; i < seqs.size(); ++i) {
     auto score =
@@ -130,20 +167,19 @@ void DetectionEngine::ReserveWorkspace(hmm::BatchWorkspace* ws) const {
   if (batch_.enabled()) batch_.Reserve(ws);
 }
 
-Detection DetectionEngine::EvaluateWindow(
-    std::span<const runtime::CallEvent> window, size_t window_start) const {
-  const hmm::ObservationSeq seq = profile_->Encode(window);
-  hmm::ForwardWorkspace workspace;
-  return EvaluateEncoded(window, seq, window_start, &workspace);
-}
-
 std::vector<Detection> DetectionEngine::MonitorTraceInto(
     const runtime::Trace& trace, hmm::BatchWorkspace* ws) const {
   std::vector<Detection> out;
-  // Encode the whole trace once; window i's symbols are the slice
-  // [i, i+len) of the buffer (Encode is per-event, so the slice equals
-  // what encoding the window would produce).
-  const hmm::ObservationSeq encoded = profile_->Encode(trace);
+  // Resolve every event's facts once; window i reads the slice [i, i+len)
+  // of each array (SymbolOf and InContext are per-event, so the slice
+  // equals what resolving the window afresh would produce).
+  hmm::ObservationSeq symbols(trace.size());
+  std::vector<uint8_t> in_context(trace.size());
+  std::string key;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    symbols[i] = SymbolOf(trace[i], &key);
+    in_context[i] = InContext(trace[i]) ? 1 : 0;
+  }
   const auto windows = SlidingWindows(trace, profile_->options.window_length);
   out.reserve(windows.size());
   // Stage every window span — SlidingWindows guarantees they share one
@@ -152,12 +188,14 @@ std::vector<Detection> DetectionEngine::MonitorTraceInto(
   ws->spans.clear();
   for (const auto& window : windows) {
     const size_t offset = static_cast<size_t>(window.data() - trace.data());
-    ws->spans.emplace_back(encoded.data() + offset, window.size());
+    ws->spans.emplace_back(symbols.data() + offset, window.size());
   }
   ws->scores.resize(windows.size());
   ScoreWindows(ws->spans, ws, ws->scores);
   for (size_t i = 0; i < windows.size(); ++i) {
-    out.push_back(AssembleVerdict(windows[i], ws->spans[i], i,
+    const size_t start = static_cast<size_t>(windows[i].data() - trace.data());
+    const auto facts = std::span(in_context).subspan(start, windows[i].size());
+    out.push_back(AssembleVerdict(windows[i], ws->spans[i], facts, i,
                                   ws->scores[i]));
   }
   return out;
@@ -178,7 +216,7 @@ std::vector<std::vector<Detection>> DetectionEngine::MonitorTraces(
   // Block decomposition, one reserved workspace per block: every trace in
   // a block reuses the same activation/alpha buffers, so the steady-state
   // batch path allocates nothing per trace (the streaming service gets the
-  // same property from its per-session workspaces).
+  // same property from its per-thread ScoringScratch).
   const size_t num_blocks =
       pool == nullptr ? 1
                       : std::min(traces.size(), 4 * pool->num_workers());

@@ -1,7 +1,10 @@
 #ifndef ADPROM_CORE_DETECTION_ENGINE_H_
 #define ADPROM_CORE_DETECTION_ENGINE_H_
 
+#include <cstdint>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/flags.h"
@@ -20,9 +23,13 @@ namespace adprom::core {
 /// data-flow labels enabled it also reports which DB tables the involved
 /// targeted data came from.
 ///
-/// Throughput design: MonitorTrace encodes the trace into HMM symbols
-/// *once* and scores each overlapping window as a slice of that buffer —
-/// zero per-window heap allocations in steady state. Ready windows are
+/// Throughput design: MonitorTrace resolves each event's facts *once* —
+/// its HMM symbol (SymbolOf) and whether its (caller, callee) pair is a
+/// legitimate context (InContext) — and scores and judges each
+/// overlapping window as a slice of those arrays, with zero per-window
+/// heap allocations in steady state. The streaming service keeps the same
+/// arrays per session and assembles verdicts from them the same way.
+/// Ready windows are
 /// scored through the batched engine (hmm::BatchScorer): up to
 /// ProfileOptions::batch_width windows advance together per forward step,
 /// sweeping the transition CSR once per step instead of once per window,
@@ -41,10 +48,6 @@ class DetectionEngine {
   DetectionEngine(const DetectionEngine&) = delete;
   DetectionEngine& operator=(const DetectionEngine&) = delete;
 
-  /// Scores one n-window starting at `window_start` of the trace.
-  Detection EvaluateWindow(std::span<const runtime::CallEvent> window,
-                           size_t window_start) const;
-
   /// Slides over a full trace (stride 1) and returns every verdict.
   std::vector<Detection> MonitorTrace(const runtime::Trace& trace) const;
 
@@ -58,29 +61,39 @@ class DetectionEngine {
   /// Convenience: the alarms only.
   std::vector<Detection> Alarms(const runtime::Trace& trace) const;
 
-  /// The single shared verdict implementation: `window` and its
-  /// pre-encoded symbols `seq` (same length, same order); the workspace is
-  /// reused across calls. Both the batch paths above and the streaming
-  /// service (service::StreamingMonitor) funnel through this method (or
-  /// through ScoreWindows + AssembleVerdict, which compose to the same
-  /// result), which is what makes streaming verdicts bit-identical to
-  /// batch by construction.
-  Detection EvaluateEncoded(std::span<const runtime::CallEvent> window,
-                            hmm::SymbolSpan seq, size_t window_start,
-                            hmm::ForwardWorkspace* workspace) const;
+  /// The event's HMM symbol (<unk> when outside the alphabet); equals
+  /// profile.Encode of the event. `key` is a grow-only buffer for
+  /// composing labeled observables, so a warm call allocates nothing.
+  int SymbolOf(const runtime::CallEvent& event, std::string* key) const;
+
+  /// Whether (event.caller, event.callee) is one of the profile's
+  /// legitimate context pairs. Builds no string.
+  bool InContext(const runtime::CallEvent& event) const;
 
   /// Scores a group of equal-length windows into `out` (same size as
   /// `seqs`) through the batched engine, falling back to the scalar
   /// workspace path when batching is disabled. Exact-tier scores are
-  /// bit-identical to what EvaluateEncoded would compute per window; with
-  /// the triage tier enabled, certified-benign windows report their lower
-  /// bound instead (AssembleVerdict reaches the same flag either way).
+  /// bit-identical to the scalar hmm::PerSymbolLogLikelihood per window;
+  /// with the triage tier enabled, certified-benign windows report their
+  /// lower bound instead (AssembleVerdict reaches the same flag either
+  /// way).
   void ScoreWindows(std::span<const hmm::SymbolSpan> seqs,
                     hmm::BatchWorkspace* ws, std::span<double> out) const;
 
-  /// The verdict-assembly half of EvaluateEncoded: out-of-context scan,
-  /// unknown-symbol override, threshold comparison, flag selection, and
-  /// alarm provenance — everything except computing `score`.
+  /// The single shared verdict implementation, given the window's score:
+  /// out-of-context scan, unknown-symbol override, threshold comparison,
+  /// flag selection, and alarm provenance. `seq` and `in_context` are the
+  /// window's per-event facts (SymbolOf, InContext), in window order.
+  /// MonitorTrace and the streaming service (service::StreamingMonitor)
+  /// both funnel through it, which is what makes streaming verdicts
+  /// bit-identical to batch by construction.
+  Detection AssembleVerdict(std::span<const runtime::CallEvent> window,
+                            hmm::SymbolSpan seq,
+                            std::span<const uint8_t> in_context,
+                            size_t window_start, double score) const;
+
+  /// Convenience: resolves the window's context facts, then runs the
+  /// same body.
   Detection AssembleVerdict(std::span<const runtime::CallEvent> window,
                             hmm::SymbolSpan seq, size_t window_start,
                             double score) const;
@@ -100,6 +113,9 @@ class DetectionEngine {
                                           hmm::BatchWorkspace* ws) const;
 
   const ApplicationProfile* profile_;
+  /// profile_->context_pairs as a sorted flat array, searched with
+  /// (caller, callee) string views.
+  std::vector<std::pair<std::string, std::string>> context_pairs_;
   /// CSR compilation of profile_->model, built once at construction
   /// (empty and unused when the profile asks for dense kernels).
   hmm::SparseHmm sparse_;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "analysis/labeling.h"
 #include "util/strings.h"
 
 namespace adprom::core {
@@ -21,31 +22,48 @@ int Alphabet::Intern(const std::string& symbol) {
   return id;
 }
 
-int Alphabet::Lookup(const std::string& symbol) const {
+int Alphabet::Lookup(std::string_view symbol) const {
   auto it = index_.find(symbol);
   return it == index_.end() ? unk_id() : it->second;
 }
 
-bool Alphabet::Contains(const std::string& symbol) const {
-  return index_.contains(symbol);
+bool Alphabet::Contains(std::string_view symbol) const {
+  return index_.find(symbol) != index_.end();
 }
 
 std::string ApplicationProfile::ObservableOf(
     const runtime::CallEvent& event) const {
-  std::string observable =
-      options.use_dd_labels ? event.Observable() : event.callee;
-  if (options.use_query_signatures && !event.query_signature.empty()) {
-    observable += "#" + event.query_signature;
+  std::string buffer;
+  return std::string(ObservableInto(event, &buffer));
+}
+
+std::string_view ApplicationProfile::ObservableInto(
+    const runtime::CallEvent& event, std::string* buffer) const {
+  const bool labeled = options.use_dd_labels && event.td_output;
+  const bool signed_query =
+      options.use_query_signatures && !event.query_signature.empty();
+  if (!labeled && !signed_query) return event.callee;
+  buffer->clear();
+  if (labeled) {
+    analysis::AppendLabeledObservable(event.callee, event.caller,
+                                      event.block_id, buffer);
+  } else {
+    buffer->append(event.callee);
   }
-  return observable;
+  if (signed_query) {
+    buffer->push_back('#');
+    buffer->append(event.query_signature);
+  }
+  return *buffer;
 }
 
 hmm::ObservationSeq ApplicationProfile::Encode(
     std::span<const runtime::CallEvent> events) const {
   hmm::ObservationSeq seq;
   seq.reserve(events.size());
+  std::string buffer;
   for (const runtime::CallEvent& event : events) {
-    seq.push_back(alphabet.Lookup(ObservableOf(event)));
+    seq.push_back(alphabet.Lookup(ObservableInto(event, &buffer)));
   }
   return seq;
 }

@@ -6,6 +6,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hmm/baum_welch.h"
@@ -26,9 +27,9 @@ class Alphabet {
   int Intern(const std::string& symbol);
 
   /// Returns the id of `symbol`, or the <unk> id when absent.
-  int Lookup(const std::string& symbol) const;
+  int Lookup(std::string_view symbol) const;
 
-  bool Contains(const std::string& symbol) const;
+  bool Contains(std::string_view symbol) const;
   int unk_id() const { return 0; }
   size_t size() const { return symbols_.size(); }
   const std::string& symbol(int id) const {
@@ -38,7 +39,8 @@ class Alphabet {
 
  private:
   std::vector<std::string> symbols_;
-  std::map<std::string, int> index_;
+  /// Transparent, so Lookup(string_view) builds no key string.
+  std::map<std::string, int, std::less<>> index_;
 };
 
 /// Tuning knobs for profile construction. The defaults follow the paper's
@@ -137,6 +139,12 @@ struct ApplicationProfile {
 
   /// The symbol the profile observes for an event (honours use_dd_labels).
   std::string ObservableOf(const runtime::CallEvent& event) const;
+
+  /// ObservableOf without the allocation: a view of `event.callee` when
+  /// that is the observable, else of the symbol composed into `buffer`
+  /// (grow-only, so a reused buffer allocates nothing once warm).
+  std::string_view ObservableInto(const runtime::CallEvent& event,
+                                  std::string* buffer) const;
 
   /// Encodes events into HMM symbol ids (unknown -> <unk>).
   hmm::ObservationSeq Encode(std::span<const runtime::CallEvent> events) const;

@@ -107,19 +107,28 @@ TriageTables::TriageTables(const SparseHmm& model) {
 }
 
 void BatchWorkspace::Reserve(size_t num_states, size_t width) {
-  act_a.resize(num_states * width);
-  act_b.resize(num_states * width);
-  totals.resize(width);
-  loglik.resize(width);
-  emit_rows.resize(width);
-  tri_a.resize(num_states * width);
-  tri_b.resize(num_states * width);
-  tri_best.resize(width);
-  tri_rows.resize(width);
-  pending.reserve(width);
-  lane_index.reserve(width);
+  ReserveKernelBuffers(num_states, width);
   spans.reserve(width);
   scores.reserve(width);
+}
+
+void BatchWorkspace::ReserveKernelBuffers(size_t num_states, size_t width) {
+  // Grow-only: a workspace shared by models of different sizes (one per
+  // scoring thread, serving every tenant) never shrinks and re-fills.
+  auto grow = [](auto& buffer, size_t size) {
+    if (buffer.size() < size) buffer.resize(size);
+  };
+  grow(act_a, num_states * width);
+  grow(act_b, num_states * width);
+  grow(totals, width);
+  grow(loglik, width);
+  grow(emit_rows, width);
+  grow(tri_a, num_states * width);
+  grow(tri_b, num_states * width);
+  grow(tri_best, width);
+  grow(tri_rows, width);
+  pending.reserve(width);
+  lane_index.reserve(width);
 }
 
 BatchScorer::BatchScorer(const SparseHmm* model, BatchOptions options)
@@ -154,7 +163,9 @@ util::Status BatchScorer::ScoreBatch(std::span<const SymbolSpan> seqs,
     }
     ADPROM_RETURN_IF_ERROR(ValidateSequence(model_->num_symbols(), seq));
   }
-  Reserve(ws);
+  // Not Reserve(ws): `seqs` and `out` may live in ws->spans / ws->scores,
+  // and growing those here would leave them dangling.
+  ws->ReserveKernelBuffers(model_->num_states(), options_.width);
 
   const internal::BatchKernels& kernels = internal::KernelsFor(level_);
   const bool triage =

@@ -126,8 +126,8 @@ struct BatchWorkspace {
   // Caller-side staging (DetectionEngine / StreamingMonitor batch paths).
   std::vector<SymbolSpan> spans;
   std::vector<double> scores;
-  /// Scalar workspace for the per-window fallback paths (dense-kernel
-  /// ablation, single-window EvaluateEncoded).
+  /// Scalar workspace for the window-at-a-time fallback path
+  /// (dense-kernel ablation, batch_width = 0).
   ForwardWorkspace forward;
 
   struct Stats {
@@ -140,6 +140,9 @@ struct BatchWorkspace {
   /// Pre-sizes every buffer for `num_states` states at batch width
   /// `width`, so even the first ScoreBatch call allocates nothing.
   void Reserve(size_t num_states, size_t width);
+  /// Reserve minus the caller-side staging (spans, scores), which the
+  /// caller may be scoring out of; what ScoreBatch itself ensures.
+  void ReserveKernelBuffers(size_t num_states, size_t width);
 };
 
 /// The batched, vectorized detection scoring engine. Packs up to

@@ -130,6 +130,10 @@ void EncodeEndFrame(const std::string& tenant, const std::string& session,
 
 void FrameDecoder::Feed(std::string_view bytes) {
   if (poisoned()) return;
+  // Compact once per read: drop the frames Next() already consumed, so
+  // only a partial frame's bytes move, however many frames the read held.
+  buffer_.erase(0, read_pos_);
+  read_pos_ = 0;
   buffer_.append(bytes.data(), bytes.size());
 }
 
@@ -138,6 +142,7 @@ util::Status FrameDecoder::Poison(const std::string& message) {
       "frame " + std::to_string(frames_decoded_) + " at byte offset " +
       std::to_string(bytes_consumed_) + ": " + message);
   buffer_.clear();
+  read_pos_ = 0;
   return status_;
 }
 
@@ -209,17 +214,18 @@ util::Result<Frame> FrameDecoder::ParsePayload(FrameType type,
 
 util::Result<std::optional<Frame>> FrameDecoder::Next() {
   if (poisoned()) return status_;
-  if (buffer_.size() < kHeaderSize) return std::optional<Frame>();
-  if (std::memcmp(buffer_.data(), kMagic, sizeof(kMagic)) != 0) {
+  const std::string_view pending = std::string_view(buffer_).substr(read_pos_);
+  if (pending.size() < kHeaderSize) return std::optional<Frame>();
+  if (std::memcmp(pending.data(), kMagic, sizeof(kMagic)) != 0) {
     return Poison("bad magic (expected \"ADPF\")");
   }
-  const uint8_t version = static_cast<uint8_t>(buffer_[4]);
+  const uint8_t version = static_cast<uint8_t>(pending[4]);
   if (version != kVersion) {
     return Poison("unsupported protocol version " + std::to_string(version) +
                   " (this decoder speaks version " + std::to_string(kVersion) +
                   ")");
   }
-  const uint8_t raw_type = static_cast<uint8_t>(buffer_[5]);
+  const uint8_t raw_type = static_cast<uint8_t>(pending[5]);
   if (raw_type != static_cast<uint8_t>(FrameType::kEvent) &&
       raw_type != static_cast<uint8_t>(FrameType::kEndSession)) {
     return Poison("unknown frame type " + std::to_string(raw_type));
@@ -227,7 +233,7 @@ util::Result<std::optional<Frame>> FrameDecoder::Next() {
   uint32_t payload_len = 0;
   for (int i = 3; i >= 0; --i) {
     payload_len = (payload_len << 8) |
-                  static_cast<uint8_t>(buffer_[6 + static_cast<size_t>(i)]);
+                  static_cast<uint8_t>(pending[6 + static_cast<size_t>(i)]);
   }
   if (payload_len > FrameLimits::kMaxPayload) {
     return Poison("payload length " + std::to_string(payload_len) +
@@ -235,12 +241,12 @@ util::Result<std::optional<Frame>> FrameDecoder::Next() {
                   std::to_string(FrameLimits::kMaxPayload) + "-byte limit");
   }
   const size_t frame_size = kHeaderSize + payload_len;
-  if (buffer_.size() < frame_size) return std::optional<Frame>();
-  const std::string_view payload(buffer_.data() + kHeaderSize, payload_len);
+  if (pending.size() < frame_size) return std::optional<Frame>();
+  const std::string_view payload = pending.substr(kHeaderSize, payload_len);
   util::Result<Frame> frame =
       ParsePayload(static_cast<FrameType>(raw_type), payload);
   if (!frame.ok()) return frame.status();
-  buffer_.erase(0, frame_size);
+  read_pos_ += frame_size;
   bytes_consumed_ += frame_size;
   ++frames_decoded_;
   return std::optional<Frame>(std::move(frame).value());
@@ -248,9 +254,10 @@ util::Result<std::optional<Frame>> FrameDecoder::Next() {
 
 util::Status FrameDecoder::Finish() {
   if (poisoned()) return status_;
-  if (!buffer_.empty()) {
+  if (read_pos_ < buffer_.size()) {
     return Poison("stream ends mid-frame with " +
-                  std::to_string(buffer_.size()) + " unconsumed bytes");
+                  std::to_string(buffer_.size() - read_pos_) +
+                  " unconsumed bytes");
   }
   return util::Status::Ok();
 }

@@ -114,11 +114,15 @@ class FrameDecoder {
  private:
   /// Marks the stream bad and returns the error (with offset context).
   util::Status Poison(const std::string& message);
-  /// Parses one complete frame sitting at buffer_[0..10+payload_len).
+  /// Parses one complete frame's payload.
   util::Result<Frame> ParsePayload(FrameType type,
                                    std::string_view payload);
 
+  /// Fed bytes; buffer_[read_pos_..] is not decoded yet. Next() only
+  /// advances the cursor, and Feed() drops the decoded prefix once per
+  /// read instead of erasing every frame from the front.
   std::string buffer_;
+  size_t read_pos_ = 0;
   uint64_t bytes_consumed_ = 0;
   uint64_t frames_decoded_ = 0;
   util::Status status_ = util::Status::Ok();

@@ -31,7 +31,9 @@ struct SessionStats {
 /// Where streaming verdicts go. Implementations MUST be thread-safe:
 /// worker threads of different sessions call OnDetection concurrently.
 /// Within one session, calls arrive in window order — the SessionManager
-/// never runs two workers on the same session at once.
+/// never runs two workers on the same session at once. A sink must not
+/// call back into the manager that delivered the verdict: the detection
+/// it is handed lives in that thread's ScoringScratch.
 class AlertSink {
  public:
   virtual ~AlertSink() = default;

@@ -69,29 +69,38 @@ TenantCounters* FleetNode::CountersFor(const std::string& tenant) {
   return it->second.get();
 }
 
+util::Status FleetNode::Bind(const std::string& tenant,
+                             const std::string& session_key,
+                             SessionBinding* binding) {
+  // Fail closed: no live profile -> the event is rejected, never scored
+  // against some other tenant's model. Sessions created before a Remove
+  // keep their pinned handle but stop receiving events, exactly like an
+  // unknown tenant.
+  binding->profile = registry_->Get(tenant);
+  if (binding->profile == nullptr) {
+    return util::Status::NotFound("no profile loaded for tenant: " + tenant);
+  }
+  if (options_.qualify_sink_ids) binding->display_scope = tenant;
+  binding->display_key = session_key;
+  binding->tenant = CountersFor(tenant);
+  return util::Status::Ok();
+}
+
 util::Status FleetNode::Submit(const std::string& tenant,
                                const std::string& session_key,
                                runtime::CallEvent event) {
-  return SubmitBatch(tenant, session_key,
-                     std::span<const runtime::CallEvent>(&event, 1));
+  SessionBinding binding;
+  ADPROM_RETURN_IF_ERROR(Bind(tenant, session_key, &binding));
+  SessionManager& shard = *shards_[ShardIndex(tenant, session_key)];
+  return shard.Submit(CompositeKey(tenant, session_key), binding,
+                      std::move(event));
 }
 
 util::Status FleetNode::SubmitBatch(
     const std::string& tenant, const std::string& session_key,
     std::span<const runtime::CallEvent> events) {
-  // Fail closed: no live profile -> the event is rejected, never scored
-  // against some other tenant's model. Sessions created before a Remove
-  // keep their pinned handle but stop receiving events, exactly like an
-  // unknown tenant.
   SessionBinding binding;
-  binding.profile = registry_->Get(tenant);
-  if (binding.profile == nullptr) {
-    return util::Status::NotFound("no profile loaded for tenant: " + tenant);
-  }
-  binding.display_id = options_.qualify_sink_ids
-                           ? tenant + "/" + session_key
-                           : session_key;
-  binding.tenant = CountersFor(tenant);
+  ADPROM_RETURN_IF_ERROR(Bind(tenant, session_key, &binding));
   SessionManager& shard = *shards_[ShardIndex(tenant, session_key)];
   return shard.SubmitBatch(CompositeKey(tenant, session_key), binding,
                            events);

@@ -60,13 +60,14 @@ class FleetNode {
   FleetNode(const FleetNode&) = delete;
   FleetNode& operator=(const FleetNode&) = delete;
 
-  /// Routes one event of `tenant`'s session `session_key`. NotFound when
-  /// the tenant has no live profile (fail closed).
+  /// Routes one event of `tenant`'s session `session_key`, moving it into
+  /// the session queue. NotFound when the tenant has no live profile (fail
+  /// closed).
   util::Status Submit(const std::string& tenant,
                       const std::string& session_key,
                       runtime::CallEvent event);
 
-  /// Burst submit (consumed by move): one registry lookup + one shard
+  /// Burst submit (the span is copied): one registry lookup + one shard
   /// lock acquisition for the whole span.
   util::Status SubmitBatch(const std::string& tenant,
                            const std::string& session_key,
@@ -100,6 +101,11 @@ class FleetNode {
   /// Stable per-tenant counter block (created on first touch; addresses
   /// never move — sessions keep raw pointers into it).
   TenantCounters* CountersFor(const std::string& tenant);
+  /// Resolves the tenant's live profile (NotFound when none) and fills
+  /// the binding a new session would get. The display id is left in
+  /// parts; the shard composes it only if the submit creates the session.
+  util::Status Bind(const std::string& tenant, const std::string& session_key,
+                    SessionBinding* binding);
 
   ProfileRegistry* registry_;
   FleetOptions options_;

@@ -1,34 +1,37 @@
 #include "service/streaming_monitor.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace adprom::service {
 
-StreamingMonitor::StreamingMonitor(const core::ApplicationProfile* profile)
-    : profile_(profile),
-      owned_engine_(std::make_unique<core::DetectionEngine>(profile)),
-      engine_(owned_engine_.get()),
-      window_length_(profile->options.window_length) {
-  events_.reserve(2 * window_length_);
-  symbols_.reserve(2 * window_length_);
-  engine_->ReserveWorkspace(&workspace_);
+ScoringScratch& ThreadScoringScratch() {
+  thread_local ScoringScratch scratch;
+  return scratch;
 }
+
+StreamingMonitor::StreamingMonitor(const core::ApplicationProfile* profile)
+    : StreamingMonitor(profile, nullptr) {}
 
 StreamingMonitor::StreamingMonitor(const core::ApplicationProfile* profile,
                                    const core::DetectionEngine* engine)
-    : profile_(profile),
-      engine_(engine),
+    : owned_engine_(engine == nullptr
+                        ? std::make_unique<core::DetectionEngine>(profile)
+                        : nullptr),
+      engine_(engine == nullptr ? owned_engine_.get() : engine),
       window_length_(profile->options.window_length) {
   events_.reserve(2 * window_length_);
   symbols_.reserve(2 * window_length_);
-  engine_->ReserveWorkspace(&workspace_);
+  in_context_.reserve(2 * window_length_);
 }
 
-void StreamingMonitor::Append(runtime::CallEvent event) {
-  // Encode-once: the symbol is interned now and slides through every
-  // window that covers this event (profile Encode is per-event, so the
-  // sliding slice equals what encoding each window afresh would produce).
-  symbols_.push_back(profile_->alphabet.Lookup(profile_->ObservableOf(event)));
+void StreamingMonitor::Append(runtime::CallEvent&& event, std::string* key) {
+  // Resolve-once: the symbol and the context fact are computed now and
+  // slide through every window that covers this event (both are
+  // per-event, so the sliding slice equals what resolving each window
+  // afresh would produce).
+  symbols_.push_back(engine_->SymbolOf(event, key));
+  in_context_.push_back(engine_->InContext(event) ? 1 : 0);
   events_.push_back(std::move(event));
   ++events_seen_;
 }
@@ -38,61 +41,65 @@ void StreamingMonitor::MaybeCompact() {
   // Bulk compaction: drop everything before the live window. Runs at most
   // once per n single events (or once per micro-batch), so the per-event
   // amortized cost is constant.
-  const size_t start = events_.size() - window_length_;
-  events_.erase(events_.begin(), events_.begin() + static_cast<ptrdiff_t>(start));
-  symbols_.erase(symbols_.begin(),
-                 symbols_.begin() + static_cast<ptrdiff_t>(start));
+  const auto start = static_cast<ptrdiff_t>(events_.size() - window_length_);
+  events_.erase(events_.begin(), events_.begin() + start);
+  symbols_.erase(symbols_.begin(), symbols_.begin() + start);
+  in_context_.erase(in_context_.begin(), in_context_.begin() + start);
 }
 
-std::optional<core::Detection> StreamingMonitor::OnEvent(
-    runtime::CallEvent event) {
-  Append(std::move(event));
-  if (events_seen_ < window_length_) return std::nullopt;
-  const size_t start = events_.size() - window_length_;
-  const std::span<const runtime::CallEvent> window(events_.data() + start,
-                                                   window_length_);
-  const hmm::SymbolSpan seq(symbols_.data() + start, window_length_);
-  core::Detection verdict = engine_->EvaluateEncoded(
-      window, seq, windows_scored_, &workspace_.forward);
-  ++windows_scored_;
-  MaybeCompact();
-  return verdict;
+void StreamingMonitor::ScoreTail(size_t count, size_t len,
+                                 ScoringScratch* scratch) {
+  hmm::BatchWorkspace& ws = scratch->workspace;
+  // Window i ends at buffer position first_end + i (exclusive).
+  const size_t first_end = events_.size() - count + 1;
+  ws.spans.clear();
+  for (size_t i = 0; i < count; ++i) {
+    ws.spans.emplace_back(symbols_.data() + first_end + i - len, len);
+  }
+  ws.scores.resize(count);
+  engine_->ScoreWindows(ws.spans, &ws, ws.scores);
+  for (size_t i = 0; i < count; ++i) {
+    const size_t start = first_end + i - len;
+    const auto window = std::span(events_).subspan(start, len);
+    const auto facts = std::span(in_context_).subspan(start, len);
+    scratch->verdicts.push_back(engine_->AssembleVerdict(
+        window, ws.spans[i], facts, windows_scored_, ws.scores[i]));
+    ++windows_scored_;
+  }
 }
 
-std::vector<core::Detection> StreamingMonitor::OnEvents(
-    std::span<runtime::CallEvent> events) {
-  std::vector<core::Detection> verdicts;
-  if (events.empty()) return verdicts;
+std::span<core::Detection> StreamingMonitor::ScoreBatch(
+    std::span<runtime::CallEvent> events, ScoringScratch* scratch) {
+  scratch->verdicts.clear();
   // Append the whole micro-batch first: spans formed below point into the
   // final buffer tail and stay valid through the scoring call.
-  for (runtime::CallEvent& event : events) Append(std::move(event));
-  if (events_seen_ < window_length_) return verdicts;
-
+  for (runtime::CallEvent& event : events) {
+    Append(std::move(event), &scratch->key);
+  }
+  if (events.empty() || events_seen_ < window_length_) return {};
   // The batch completes one window per event past the first n-1 of the
   // stream; their ends are the last `num_ready` buffer positions.
   const size_t num_ready =
       std::min(events.size(), events_seen_ - window_length_ + 1);
-  const size_t first_end = events_.size() - num_ready + 1;
-  workspace_.spans.clear();
-  for (size_t i = 0; i < num_ready; ++i) {
-    const size_t start = first_end + i - window_length_;
-    workspace_.spans.emplace_back(symbols_.data() + start, window_length_);
-  }
-  workspace_.scores.resize(num_ready);
-  engine_->ScoreWindows(workspace_.spans, &workspace_, workspace_.scores);
-
-  verdicts.reserve(num_ready);
-  for (size_t i = 0; i < num_ready; ++i) {
-    const size_t start = first_end + i - window_length_;
-    const std::span<const runtime::CallEvent> window(events_.data() + start,
-                                                     window_length_);
-    verdicts.push_back(engine_->AssembleVerdict(
-        window, workspace_.spans[i], windows_scored_,
-        workspace_.scores[i]));
-    ++windows_scored_;
-  }
+  ScoreTail(num_ready, window_length_, scratch);
   MaybeCompact();
-  return verdicts;
+  return scratch->verdicts;
+}
+
+std::vector<core::Detection> StreamingMonitor::OnEvents(
+    std::span<runtime::CallEvent> events) {
+  const std::span<core::Detection> verdicts =
+      ScoreBatch(events, &ThreadScoringScratch());
+  return std::vector<core::Detection>(std::make_move_iterator(verdicts.begin()),
+                                      std::make_move_iterator(verdicts.end()));
+}
+
+std::optional<core::Detection> StreamingMonitor::OnEvent(
+    runtime::CallEvent event) {
+  const std::span<core::Detection> verdicts =
+      ScoreBatch(std::span(&event, 1), &ThreadScoringScratch());
+  if (verdicts.empty()) return std::nullopt;
+  return std::move(verdicts.front());
 }
 
 std::optional<core::Detection> StreamingMonitor::Finish() {
@@ -102,14 +109,12 @@ std::optional<core::Detection> StreamingMonitor::Finish() {
     return std::nullopt;
   }
   // Short session: fewer events than one window. The buffers were never
-  // compacted (that needs 2n events), so they still hold the whole trace.
-  const std::span<const runtime::CallEvent> window(events_.data(),
-                                                   events_.size());
-  const hmm::SymbolSpan seq(symbols_.data(), symbols_.size());
-  core::Detection verdict =
-      engine_->EvaluateEncoded(window, seq, 0, &workspace_.forward);
-  ++windows_scored_;
-  return verdict;
+  // compacted (that needs 2n events), so they still hold the whole trace,
+  // scored as one window of its own length.
+  ScoringScratch& scratch = ThreadScoringScratch();
+  scratch.verdicts.clear();
+  ScoreTail(1, events_.size(), &scratch);
+  return std::move(scratch.verdicts.front());
 }
 
 }  // namespace adprom::service

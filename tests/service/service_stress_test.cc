@@ -207,5 +207,43 @@ TEST(ServiceStressTest, CloseAllWakesBlockedProducers) {
   EXPECT_EQ(sink.closed_sessions(), 1u);
 }
 
+TEST(ServiceStressTest, DestroyingPooledManagersWithDrainersInFlight) {
+  // Each manager is destroyed right after its last Submit, while drainer
+  // tasks are still queued or running: the destructor must wait for every
+  // drainer to retire before the members they touch go away. Under TSan a
+  // drainer that touches the manager after it reads as retired is a
+  // reported race; here it would be a use-after-free.
+  const core::ApplicationProfile profile = MakeTinyProfile();
+  const core::DetectionEngine engine(&profile);
+  util::ThreadPool pool(4);
+  SessionManagerOptions options;
+  options.batch_size = 2;
+  constexpr int kRounds = 200;
+  constexpr int kSessions = 6;
+  constexpr int kEvents = 9;
+  for (int round = 0; round < kRounds; ++round) {
+    CollectingAlertSink sink;
+    {
+      SessionManager manager(&profile, &sink, &pool, options);
+      for (int i = 0; i < kEvents; ++i) {
+        for (int s = 0; s < kSessions; ++s) {
+          ASSERT_TRUE(manager.Submit("s" + std::to_string(s), Ev(s, i)).ok());
+        }
+      }
+    }
+    ASSERT_EQ(sink.closed_sessions(), static_cast<size_t>(kSessions))
+        << "round " << round;
+    for (int s = 0; s < kSessions; ++s) {
+      const std::string id = "s" + std::to_string(s);
+      const auto expected = engine.MonitorTrace(SessionTrace(s, kEvents));
+      const auto actual = sink.DetectionsFor(id);
+      ASSERT_EQ(expected.size(), actual.size()) << id << " round " << round;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(expected[i].score, actual[i].score) << id << " " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace adprom::service
