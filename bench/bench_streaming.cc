@@ -1,10 +1,12 @@
 // Streaming-service bench: events/sec and per-event submit latency
 // (p50/p99) of the SessionManager as the number of concurrent monitored
 // sessions grows (1 / 8 / 64 / 512), over a pool of hardware-concurrency
-// workers, plus the bare single-session StreamingMonitor as the inline
-// scoring baseline. Submit latency is producer-observed: it includes any
-// kBlock back-pressure stall, which is exactly what a collector embedded
-// in an application would feel.
+// workers, plus one session scored inline on the submitting thread (null
+// pool) as the baseline. Every session is bound to one shared
+// ProfileHandle, so all of them score through one compiled engine. Submit
+// latency is producer-observed: it includes any kBlock back-pressure
+// stall, which is exactly what a collector embedded in an application
+// would feel.
 //
 // Each configuration is run `timing_repeats` times and the fastest run is
 // reported (min-of-N); `--smoke` shrinks the event count and session
@@ -12,10 +14,7 @@
 //
 // A second sweep measures the multi-tenant fleet node on a churn-heavy
 // workload: tens of thousands of short sessions (one window each) spread
-// over several tenants. The `single_manager_baseline` row replays the
-// same workload through the legacy SessionManager, which compiles a
-// DetectionEngine per session; the fleet rows share one compiled engine
-// per tenant profile, which is where the throughput multiple comes from.
+// over several tenants, at 1 and 8 shards.
 //
 // Machine-readable results are written to BENCH_streaming.json at the
 // repository root (override with --json <path>).
@@ -60,9 +59,7 @@ struct Preset {
   size_t total_events = 60000;
   size_t timing_repeats = 3;
   std::vector<size_t> session_sweep = {1, 8, 64, 512};
-  // Fleet sweep: short sessions (one window each) at fleet scale. The
-  // baseline row replays fleet_sessions[0] sessions through the legacy
-  // per-session-engine manager.
+  // Fleet sweep: short sessions (one window each) at fleet scale.
   size_t fleet_tenants = 4;
   // Churn runs are short (~0.1 s at 10k sessions), so they take more
   // min-of-N repeats than the long stream runs to damp scheduler noise.
@@ -117,15 +114,16 @@ double Percentile(std::vector<double>* sorted_us, double p) {
 
 /// One configuration: `sessions` concurrent sessions fed round-robin from
 /// the flattened corpus event pool, ~`total_events` events overall.
-StreamRun RunConfigOnce(const core::ApplicationProfile& profile,
+StreamRun RunConfigOnce(const service::SessionBinding& binding,
                         const std::vector<runtime::CallEvent>& pool_events,
                         size_t sessions, size_t total_events,
                         util::ThreadPool* pool) {
+  const core::ApplicationProfile& profile = binding.profile->profile();
   CountingSink sink;
   service::SessionManagerOptions options;
   options.queue_capacity = 1024;
   options.overflow = service::SessionManagerOptions::OverflowPolicy::kBlock;
-  service::SessionManager manager(&profile, &sink, pool, options);
+  service::SessionManager manager(&sink, pool, options);
 
   std::vector<std::string> ids;
   ids.reserve(sessions);
@@ -146,7 +144,7 @@ StreamRun RunConfigOnce(const core::ApplicationProfile& profile,
       const runtime::CallEvent& event =
           pool_events[(s * 7919 + i) % pool_events.size()];
       const auto t0 = std::chrono::steady_clock::now();
-      (void)manager.Submit(ids[s], event);
+      (void)manager.Submit(ids[s], binding, event);
       latencies_us.push_back(
           std::chrono::duration<double, std::micro>(
               std::chrono::steady_clock::now() - t0)
@@ -187,14 +185,11 @@ struct FleetRun {
 
 /// Churn workload: `sessions` short-lived sessions (window_length events
 /// each, i.e. exactly one verdict window) fed and closed one after the
-/// other, spread round-robin over `tenants` tenants. `shards == 0` means
-/// the legacy single SessionManager, which compiles a DetectionEngine per
-/// session and only offers per-event Submit — the pre-fleet baseline.
-/// The fleet rows ingest each session as one SubmitBatch burst, the way
-/// the binary feed hands bursts to the node: one profile resolve, one
-/// session-lock hold, and one worker hand-off per session instead of one
-/// per event. Fleet latency samples are therefore per-burst, not
-/// per-event.
+/// other, spread round-robin over `tenants` tenants. Each session is
+/// ingested as one SubmitBatch burst, the way the binary feed hands bursts
+/// to the node: one profile resolve, one session-lock hold, and one worker
+/// hand-off per session instead of one per event. Latency samples are
+/// therefore per-burst, not per-event.
 FleetRun RunFleetConfigOnce(const core::ApplicationProfile& profile,
                             const std::vector<runtime::CallEvent>& pool_events,
                             size_t shards, size_t tenants, size_t sessions,
@@ -207,80 +202,53 @@ FleetRun RunFleetConfigOnce(const core::ApplicationProfile& profile,
       service::SessionManagerOptions::OverflowPolicy::kBlock;
 
   std::vector<double> latencies_us;
-  latencies_us.reserve(sessions * per_session);
+  latencies_us.reserve(sessions);
   FleetRun run;
-  run.tenants = shards == 0 ? 1 : tenants;
+  run.name = "fleet";
+  run.shards = shards;
+  run.tenants = tenants;
   run.sessions = sessions;
   run.events = sessions * per_session;
 
-  if (shards == 0) {
-    run.name = "single_manager_baseline";
-    run.shards = 1;
-    service::SessionManager manager(&profile, &sink, pool, session_options);
-    const auto bench_start = std::chrono::steady_clock::now();
-    for (size_t s = 0; s < sessions; ++s) {
-      const std::string key = "s" + std::to_string(s);
-      for (size_t i = 0; i < per_session; ++i) {
-        const runtime::CallEvent& event =
-            pool_events[(s * 7919 + i) % pool_events.size()];
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)manager.Submit(key, event);
-        latencies_us.push_back(
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      }
-      (void)manager.CloseSession(key);
+  service::ProfileRegistry registry;
+  std::vector<std::string> tenant_names;
+  for (size_t t = 0; t < tenants; ++t) {
+    tenant_names.push_back("tenant" + std::to_string(t));
+    core::ApplicationProfile copy = profile;
+    if (!registry.Install(tenant_names.back(), std::move(copy)).ok()) {
+      std::printf("FATAL: registry install failed\n");
+      std::abort();
     }
-    manager.Drain();
-    run.seconds = Seconds(bench_start);
-    run.drops = manager.total_dropped();
-    run.backlog_max = manager.Metrics().max_queue_depth;
-    manager.CloseAll();
-  } else {
-    run.name = "fleet";
-    run.shards = shards;
-    service::ProfileRegistry registry;
-    std::vector<std::string> tenant_names;
-    for (size_t t = 0; t < tenants; ++t) {
-      tenant_names.push_back("tenant" + std::to_string(t));
-      core::ApplicationProfile copy = profile;
-      if (!registry.Install(tenant_names.back(), std::move(copy)).ok()) {
-        std::printf("FATAL: registry install failed\n");
-        std::abort();
-      }
-    }
-    service::FleetOptions fleet_options;
-    fleet_options.num_shards = shards;
-    fleet_options.session = session_options;
-    service::FleetNode fleet(&registry, &sink, pool, fleet_options);
-    // Each session's burst is a contiguous slice of the pool at its own
-    // offset, so concurrent sessions are not in lockstep on identical
-    // windows and no events are copied on the producer side.
-    const size_t max_offset = pool_events.size() - per_session;
-    const auto bench_start = std::chrono::steady_clock::now();
-    for (size_t s = 0; s < sessions; ++s) {
-      const std::string key = "s" + std::to_string(s);
-      const std::span<const runtime::CallEvent> burst(
-          pool_events.data() + (s * 7919) % max_offset, per_session);
-      const auto t0 = std::chrono::steady_clock::now();
-      (void)fleet.SubmitBatch(tenant_names[s % tenants], key, burst);
-      latencies_us.push_back(
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      (void)fleet.CloseSession(tenant_names[s % tenants], key);
-    }
-    fleet.Drain();
-    run.seconds = Seconds(bench_start);
-    run.drops = fleet.total_dropped();
-    const service::FleetMetrics metrics = fleet.Metrics();
-    for (const service::ShardMetrics& shard : metrics.shards) {
-      run.backlog_max = std::max(run.backlog_max,
-                                 static_cast<size_t>(shard.max_queue_depth));
-    }
-    fleet.CloseAll();
   }
+  service::FleetOptions fleet_options;
+  fleet_options.num_shards = shards;
+  fleet_options.session = session_options;
+  service::FleetNode fleet(&registry, &sink, pool, fleet_options);
+  // Each session's burst is a contiguous slice of the pool at its own
+  // offset, so concurrent sessions are not in lockstep on identical
+  // windows and no events are copied on the producer side.
+  const size_t max_offset = pool_events.size() - per_session;
+  const auto bench_start = std::chrono::steady_clock::now();
+  for (size_t s = 0; s < sessions; ++s) {
+    const std::string key = "s" + std::to_string(s);
+    const std::span<const runtime::CallEvent> burst(
+        pool_events.data() + (s * 7919) % max_offset, per_session);
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)fleet.SubmitBatch(tenant_names[s % tenants], key, burst);
+    latencies_us.push_back(std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+    (void)fleet.CloseSession(tenant_names[s % tenants], key);
+  }
+  fleet.Drain();
+  run.seconds = Seconds(bench_start);
+  run.drops = fleet.total_dropped();
+  const service::FleetMetrics metrics = fleet.Metrics();
+  for (const service::ShardMetrics& shard : metrics.shards) {
+    run.backlog_max =
+        std::max(run.backlog_max, static_cast<size_t>(shard.max_queue_depth));
+  }
+  fleet.CloseAll();
 
   run.verdicts = sink.verdicts.load();
   run.events_per_sec = static_cast<double>(run.events) / run.seconds;
@@ -310,13 +278,13 @@ FleetRun RunFleetConfig(const core::ApplicationProfile& profile,
 
 /// Min-of-N: repeats the configuration and keeps the fastest run (its
 /// latency percentiles come from that same run).
-StreamRun RunConfig(const core::ApplicationProfile& profile,
+StreamRun RunConfig(const service::SessionBinding& binding,
                     const std::vector<runtime::CallEvent>& pool_events,
                     size_t sessions, const Preset& preset,
                     util::ThreadPool* pool) {
   StreamRun best;
   for (size_t r = 0; r < preset.timing_repeats; ++r) {
-    StreamRun run = RunConfigOnce(profile, pool_events, sessions,
+    StreamRun run = RunConfigOnce(binding, pool_events, sessions,
                                   preset.total_events, pool);
     if (r == 0 || run.seconds < best.seconds) best = std::move(run);
   }
@@ -396,14 +364,19 @@ void Run(const Preset& preset, const std::string& json_path) {
 
   const size_t workers = util::ThreadPool::DefaultConcurrency();
   std::vector<StreamRun> runs;
+  // Every session of the sweep pins this one handle and scores through its
+  // engine.
+  service::SessionBinding binding;
+  binding.profile = std::make_shared<const service::ProfileHandle>(
+      "grep-like", "bench", 1, profile);
 
   // Baseline: one session scored inline on the submitting thread — the
   // raw per-event cost of the incremental forward recursion.
-  runs.push_back(RunConfig(profile, pool_events, 1, preset, nullptr));
+  runs.push_back(RunConfig(binding, pool_events, 1, preset, nullptr));
 
   util::ThreadPool pool(workers);
   for (size_t sessions : preset.session_sweep) {
-    runs.push_back(RunConfig(profile, pool_events, sessions, preset, &pool));
+    runs.push_back(RunConfig(binding, pool_events, sessions, preset, &pool));
   }
 
   util::TablePrinter table({"mode", "sessions", "events", "seconds",
@@ -422,16 +395,11 @@ void Run(const Preset& preset, const std::string& json_path) {
               " %zu workers, kBlock overflow — p99 shows back-pressure)\n",
               workers);
 
-  // Fleet churn sweep: session setup cost dominates (one window per
-  // session), which is exactly the regime where sharing the compiled
-  // engine per tenant pays off over the per-session baseline.
+  // Fleet churn sweep: session open/close cost dominates (one window per
+  // session).
   std::printf("\nfleet churn sweep: %zu-event sessions over %zu tenants\n",
               profile.options.window_length, preset.fleet_tenants);
   std::vector<FleetRun> fleet_runs;
-  fleet_runs.push_back(RunFleetConfig(profile, pool_events, /*shards=*/0,
-                                      preset.fleet_tenants,
-                                      preset.fleet_sessions.front(), preset,
-                                      &pool));
   for (size_t sessions : preset.fleet_sessions) {
     for (size_t shards : preset.fleet_shards) {
       fleet_runs.push_back(RunFleetConfig(profile, pool_events, shards,
@@ -454,14 +422,6 @@ void Run(const Preset& preset, const std::string& json_path) {
                         std::to_string(run.backlog_max)});
   }
   fleet_table.Print();
-  const double baseline = fleet_runs.front().events_per_sec;
-  for (const FleetRun& run : fleet_runs) {
-    if (run.name == "fleet" && run.shards >= 8 &&
-        run.sessions == preset.fleet_sessions.front()) {
-      std::printf("fleet @%zu shards vs single-manager baseline: %.2fx\n",
-                  run.shards, run.events_per_sec / baseline);
-    }
-  }
 
   WriteJson(runs, fleet_runs, workers, preset, json_path);
 }

@@ -2,33 +2,35 @@
 // and the encode-once / workspace detection pipeline.
 //
 //  * Training: the Table-8-style heavy corpus (the bash-like SIR app,
-//    ~1000 call sites, clustered to ~300 hidden states) trained at
-//    1/2/4/N threads with both the CSR kernels (default) and the dense
-//    ablation (--dense-kernels path), with min-of-N wall time, speedup,
-//    and a bit-identical check across every run.
+//    ~1000 call sites, clustered to ~300 hidden states). The dense scalar
+//    reference (ReferenceBaumWelchTrain, one thread) is the base row; the
+//    production engine (BaumWelchTrain, batched SIMD E-step) is swept over
+//    1/2/4/N threads, plus single-thread rows with the SIMD kernels and
+//    with the scalar kernels pinned. Min-of-N wall time, speedup, and a
+//    bit-identical check of every trained model against the reference.
 //  * Kernels: the single-thread scoring microbench — the same window set
-//    scored by the dense forward pass, the CSR forward pass, and the
-//    batched engine (scalar lanes, SIMD lanes, SIMD + quantized triage) —
-//    plus the trained model's transition/emission nnz and density and the
-//    triage tables' footprint. The batched SIMD row vs the per-window CSR
-//    row is the headline number of the batching PR.
-//  * Detection: the grep-like app's traces scored by (a) the seed-style
-//    per-window path (re-encode + allocate per window), (b) the
-//    encode-once/workspace MonitorTrace, and (c) the batch MonitorTraces
-//    pool fan-out at 1/2/4/N threads, weak-scaled (trace set replicated
-//    once per thread) so per-thread work stays constant; reported as
-//    events/sec plus per-thread efficiency.
+//    scored by the dense per-window forward pass (the reference) and by
+//    the batched engine (scalar lanes, SIMD lanes, SIMD + quantized
+//    triage) — plus the trained model's transition/emission nnz and
+//    density and the triage tables' footprint.
+//  * Detection: the grep-like app's traces scored by the encode-once
+//    MonitorTrace and by the batch MonitorTraces pool fan-out at 1/2/4/N
+//    threads, weak-scaled (trace set replicated once per thread) so
+//    per-thread work stays constant; reported as events/sec plus
+//    per-thread efficiency.
 //
-// All wall times are min-of-N (see MinWallSeconds); the JSON carries a
-// provenance block naming the CPU and the repeat count. `--smoke` shrinks
-// every preset so the whole binary finishes in seconds for CI.
+// Rows that ask for more threads than the host has carry
+// "measured": false and no efficiency: they time oversubscription, not
+// scaling. All wall times are min-of-N (see MinWallSeconds); the JSON
+// carries a provenance block naming the CPU and the repeat count.
+// `--smoke` shrinks every preset so the whole binary finishes in seconds
+// for CI.
 //
 // Machine-readable results are written to BENCH_throughput.json at the
 // repository root (override with --json <path>) so the perf trajectory is
 // tracked across PRs.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,6 +41,7 @@
 
 #include "bench/bench_common.h"
 #include "core/detection_engine.h"
+#include "hmm/batch_baum_welch.h"
 #include "hmm/batch_forward.h"
 #include "hmm/baum_welch.h"
 #include "hmm/inference.h"
@@ -80,33 +83,35 @@ Preset SmokePreset() {
   return p;
 }
 
+/// Whether a row run at `threads` threads measures scaling: a row with
+/// more threads than the host runs concurrently times oversubscription,
+/// so it is reported as not measured and gets no efficiency.
+bool Measured(size_t threads) {
+  return threads <= util::ThreadPool::DefaultConcurrency();
+}
+
+/// One row of the production training sweep (BaumWelchTrain).
 struct TrainRun {
   size_t threads = 0;
-  std::string kernel;  // requested: "sparse" or "dense"
-  /// What BaumWelchTrain actually ran ("csr"/"dense"), from TrainStats —
-  /// the JSON records the executed kernel, not just the request.
-  std::string executed_kernel;
-  /// The density cutoff this row ran with (pinned to 1.0 so the sweep
-  /// measures the kernel it names instead of the auto-select decision).
-  double sparse_density_cutoff = 1.0;
+  std::string simd_level;
   double seconds = 0.0;
-  double speedup = 1.0;  // vs the same kernel's single-thread run
+  double speedup = 1.0;  // vs the 1-thread production run
   /// speedup / threads — the multi-thread rows strong-scale a fixed
-  /// corpus, so raw speedup alone reads as a kernel regression when the
-  /// corpus is too small to feed the extra threads. 1.0 means each extra
-  /// thread added a full thread's worth of throughput.
+  /// corpus, so raw speedup alone reads as a regression when the corpus
+  /// is too small to feed the extra threads. 1.0 means each extra thread
+  /// added a full thread's worth of throughput.
   double per_thread_efficiency = 1.0;
 };
 
-/// One batched-engine row of the training bench: the full BaumWelchTrain
-/// loop through BatchEStep, measured against the dense single-thread row.
+/// One single-thread row of the batched engine, measured against the
+/// dense reference row.
 struct BatchTrainRun {
   std::string name;  // "batch-scalar" or "batch-simd"
   size_t width = 0;
   std::string simd_level;
   double seconds = 0.0;
-  double speedup_vs_dense = 0.0;  // dense 1-thread seconds / this row
-  /// Trained model bitwise equal to the sweep's reference model.
+  double speedup_vs_dense = 0.0;  // dense reference seconds / this row
+  /// Trained model bitwise equal to the reference model.
   bool bit_identical = true;
 };
 
@@ -132,10 +137,10 @@ struct BatchKernelRun {
   std::string simd_level;
   double seconds = 0.0;
   double windows_per_sec = 0.0;
-  double speedup_vs_sparse = 0.0;
+  double speedup_vs_dense = 0.0;
   /// Fraction of windows the triage tier certified (0 for exact rows).
   double certified_fraction = 0.0;
-  /// Exact rows: scores bitwise-equal to the per-window CSR pass. Triage
+  /// Exact rows: scores bitwise-equal to the dense per-window pass. Triage
   /// rows: every score a sound floor on — and threshold-equivalent to —
   /// the exact score.
   bool scores_ok = true;
@@ -151,86 +156,35 @@ std::vector<size_t> ThreadSweep(const Preset& preset) {
   return {sweep.begin(), sweep.end()};
 }
 
-/// The seed (pre-refactor) detection path, reproduced in full: every
-/// overlapping window is re-encoded, scored with freshly allocated forward
-/// buffers, and the TD provenance set is built window by window. This is
-/// the baseline the encode-once/workspace pipeline is measured against.
-std::vector<core::Detection> SeedMonitorTrace(
-    const core::ApplicationProfile& profile, const runtime::Trace& trace) {
-  std::vector<core::Detection> out;
-  const auto windows =
-      core::SlidingWindows(trace, profile.options.window_length);
-  out.reserve(windows.size());
-  for (size_t i = 0; i < windows.size(); ++i) {
-    const auto& window = windows[i];
-    core::Detection detection;
-    detection.window_start = i;
-    std::set<std::string> sources;
-    bool has_td_output = false;
-    for (const runtime::CallEvent& event : window) {
-      if (!profile.options.use_dd_labels) break;
-      if (event.td_output) {
-        has_td_output = true;
-        sources.insert(event.source_tables.begin(),
-                       event.source_tables.end());
-        auto it = profile.labeled_sources.find(event.Observable());
-        if (it != profile.labeled_sources.end()) {
-          sources.insert(it->second.begin(), it->second.end());
-        }
-      }
-    }
-    for (const runtime::CallEvent& event : window) {
-      if (!profile.context_pairs.contains({event.caller, event.callee})) {
-        detection.flag = core::DetectionFlag::kOutOfContext;
-        detection.detail = event.callee + " called from " + event.caller;
-        break;
-      }
-    }
-    const hmm::ObservationSeq seq = profile.Encode(window);
-    auto score = hmm::PerSymbolLogLikelihood(profile.model, seq);
-    detection.score = score.ok() ? *score : -1e9;
-    for (int symbol : seq) {
-      if (symbol == profile.alphabet.unk_id()) {
-        detection.score = -1e9;
-        if (detection.detail.empty())
-          detection.detail = "unknown call symbol";
-        break;
-      }
-    }
-    if (detection.flag != core::DetectionFlag::kOutOfContext) {
-      if (detection.score < profile.threshold) {
-        detection.flag = has_td_output ? core::DetectionFlag::kDataLeak
-                                       : core::DetectionFlag::kAnomalous;
-      } else {
-        detection.flag = core::DetectionFlag::kNormal;
-      }
-    }
-    if (detection.IsAlarm() && has_td_output) {
-      detection.source_tables.assign(sources.begin(), sources.end());
-    }
-    out.push_back(std::move(detection));
-  }
-  return out;
+std::string Num(double v) { return util::StrFormat("%.6g", v); }
+
+/// The JSON tail shared by every threaded row: whether it measured
+/// scaling, and its efficiency only if it did.
+std::string ScalingJson(size_t threads, double efficiency) {
+  if (!Measured(threads)) return ", \"measured\": false";
+  return ", \"measured\": true, \"per_thread_efficiency\": " +
+         Num(efficiency);
 }
 
-std::string Num(double v) { return util::StrFormat("%.6g", v); }
+std::string EfficiencyCell(size_t threads, double efficiency) {
+  return Measured(threads) ? util::StrFormat("%.2f", efficiency)
+                           : "not measured";
+}
 
 struct KernelResults {
   size_t windows = 0;
   size_t repeats = 0;
   double dense_seconds = 0.0;
-  double sparse_seconds = 0.0;
-  double sparse_speedup = 0.0;
   size_t transition_nnz = 0;
   double transition_density = 1.0;
   size_t emission_nnz = 0;
   double emission_density = 1.0;
-  bool bit_identical = true;
   std::vector<BatchKernelRun> batch_runs;
   size_t quantized_table_bytes = 0;
 };
 
 struct BenchResults {
+  double reference_seconds = 0.0;
   std::vector<TrainRun> train_runs;
   std::vector<BatchTrainRun> batch_train_runs;
   bool bit_identical = true;
@@ -240,10 +194,6 @@ struct BenchResults {
   size_t train_alphabet = 0;
   size_t train_repeats = 0;
   double train_transition_density = 1.0;
-  /// The shipped auto-select cutoff (TrainOptions default) and the kernel
-  /// it would pick for this corpus on the legacy per-sequence path.
-  double train_density_cutoff = 0.0;
-  std::string train_auto_kernel;
   KernelResults kernels;
   std::vector<DetectRun> detect_runs;
   size_t detect_repeats = 0;
@@ -294,6 +244,11 @@ size_t CountNonzeros(const util::Matrix& m) {
   return nnz;
 }
 
+bool SameModel(const hmm::HmmModel& a, const hmm::HmmModel& b) {
+  return a.a().MaxAbsDiff(b.a()) == 0.0 && a.b().MaxAbsDiff(b.b()) == 0.0 &&
+         a.pi() == b.pi();
+}
+
 void BenchTraining(const TrainingSetup& setup, const Preset& preset,
                    BenchResults* results) {
   const core::ApplicationProfile& profile = setup.profile;
@@ -303,135 +258,103 @@ void BenchTraining(const TrainingSetup& setup, const Preset& preset,
   results->train_alphabet = profile.alphabet.size();
   results->train_iterations = preset.train_iterations;
   results->train_repeats = preset.train_repeats;
+  results->train_transition_density =
+      hmm::SparseHmm(profile.model).transition_density();
   std::printf("training corpus: bash-like, %zu windows, %zu states,"
               " alphabet %zu\n",
               windows.size(), profile.model.num_states(),
               profile.alphabet.size());
 
-  // The auto-select decision the shipped legacy path would make for this
-  // corpus, recorded alongside every row so the JSON is self-describing.
-  {
-    const hmm::SparseHmm sparse(profile.model);
-    results->train_transition_density = sparse.transition_density();
-  }
-  results->train_density_cutoff = hmm::TrainOptions{}.sparse_density_cutoff;
-  results->train_auto_kernel =
-      results->train_transition_density <= results->train_density_cutoff
-          ? "csr"
-          : "dense";
-
-  hmm::HmmModel reference_model;
-  for (size_t threads : ThreadSweep(preset)) {
-    for (const char* kernel : {"sparse", "dense"}) {
-      hmm::TrainOptions train;
-      train.max_iterations = preset.train_iterations;
-      train.tolerance = 0.0;
-      train.num_threads = static_cast<int>(threads);
-      train.dense_kernels = std::strcmp(kernel, "dense") == 0;
-      // Pin each row to its kernel: the shipped default auto-selects by
-      // transition density (TrainOptions::sparse_density_cutoff), so the
-      // sweep must force the CSR path to measure it — and the batched
-      // engine (now the default) gets its own rows below, so the legacy
-      // per-sequence kernels stay pinned here too.
-      train.sparse_density_cutoff = 1.0;
-      train.batch_width = 0;
-      // Train the production configuration: the profile constructor
-      // floors only B and pi (smooth_transitions = false) so the
-      // pCTM-derived zero pattern of A — the sparsity this corpus is
-      // advertised for — survives every iteration. The default
-      // (HmmModel::Smooth) would densify A to 100% after the first
-      // M-step, silently turning iterations 2+ of every row into a
-      // different, fully-dense workload.
-      train.smooth_transitions = false;
-      hmm::HmmModel model;
-      std::string executed_kernel;
-      const double seconds =
-          MinWallSeconds(preset.train_repeats, [&] {
-            model = profile.model;  // same start for every run
-            auto stats = hmm::BaumWelchTrain(&model, windows, train);
-            ADPROM_CHECK_MSG(stats.ok(), stats.status().ToString());
-            executed_kernel = stats->kernel;
-          });
-      TrainRun run;
-      run.threads = threads;
-      run.kernel = kernel;
-      run.executed_kernel = executed_kernel;
-      run.sparse_density_cutoff = train.sparse_density_cutoff;
-      run.seconds = seconds;
-      // Parallel scaling vs the same kernel's single-thread run.
-      for (const TrainRun& prior : results->train_runs) {
-        if (prior.threads == 1 && prior.kernel == run.kernel) {
-          run.speedup = prior.seconds / seconds;
-        }
-      }
-      run.per_thread_efficiency =
-          run.speedup / static_cast<double>(run.threads);
-      if (results->train_runs.empty()) {
-        reference_model = model;
-      } else {
-        // Every (threads, kernel) combination must land on the same
-        // parameters, bit for bit.
-        results->bit_identical =
-            results->bit_identical &&
-            model.a().MaxAbsDiff(reference_model.a()) == 0.0 &&
-            model.b().MaxAbsDiff(reference_model.b()) == 0.0 &&
-            model.pi() == reference_model.pi();
-      }
-      results->train_runs.push_back(std::move(run));
-    }
-  }
-
-  // The batched engine, shipped defaults, single-threaded: one row with
-  // the kernels pinned scalar and one with the runtime SIMD dispatch.
-  // speedup_vs_dense against the dense single-thread row above is the
-  // headline training number (the perf gate keys on the batch-simd row).
-  double dense_single_seconds = 0.0;
-  for (const TrainRun& run : results->train_runs) {
-    if (run.threads == 1 && run.kernel == "dense") {
-      dense_single_seconds = run.seconds;
-    }
-  }
-  for (const bool no_simd : {true, false}) {
-    hmm::TrainOptions train;
-    train.max_iterations = preset.train_iterations;
-    train.tolerance = 0.0;
-    train.num_threads = 1;
-    train.no_simd = no_simd;
-    train.smooth_transitions = false;  // same workload as the sweep above
+  // Times `train` from the setup model, min-of-N, and returns the model
+  // the last repeat trained.
+  auto time_training = [&](const hmm::TrainOptions& options, bool reference,
+                           double* seconds, std::string* simd_level) {
     hmm::HmmModel model;
-    std::string simd_level;
-    const double seconds = MinWallSeconds(preset.train_repeats, [&] {
-      model = profile.model;
-      auto stats = hmm::BaumWelchTrain(&model, windows, train);
+    *seconds = MinWallSeconds(preset.train_repeats, [&] {
+      model = profile.model;  // same start for every run
+      auto stats =
+          reference ? hmm::ReferenceBaumWelchTrain(&model, windows, options)
+                    : hmm::BaumWelchTrain(&model, windows, options);
       ADPROM_CHECK_MSG(stats.ok(), stats.status().ToString());
-      ADPROM_CHECK_MSG(stats->kernel == "batch", stats->kernel);
-      simd_level = stats->simd_level;
+      *simd_level = stats->simd_level;
     });
+    return model;
+  };
+  hmm::TrainOptions base;
+  base.max_iterations = preset.train_iterations;
+  base.tolerance = 0.0;
+  base.num_threads = 1;
+
+  // The dense scalar reference, single-threaded: the base row of every
+  // speedup_vs_dense and of the batch-simd gate.
+  std::string simd_level;
+  const hmm::HmmModel reference_model = time_training(
+      base, /*reference=*/true, &results->reference_seconds, &simd_level);
+
+  // The production engine across the thread sweep.
+  hmm::HmmModel single_thread_model;
+  for (size_t threads : ThreadSweep(preset)) {
+    hmm::TrainOptions train = base;
+    train.num_threads = static_cast<int>(threads);
+    TrainRun run;
+    run.threads = threads;
+    const hmm::HmmModel model = time_training(train, /*reference=*/false,
+                                              &run.seconds, &run.simd_level);
+    if (results->train_runs.empty()) {
+      single_thread_model = model;
+    } else {
+      run.speedup = results->train_runs.front().seconds / run.seconds;
+    }
+    run.per_thread_efficiency =
+        run.speedup / static_cast<double>(run.threads);
+    results->bit_identical =
+        results->bit_identical && SameModel(model, reference_model);
+    results->train_runs.push_back(std::move(run));
+  }
+
+  // Single-thread engine rows against the reference row: the scalar
+  // kernels pinned, and the runtime SIMD dispatch. The latter is the
+  // sweep's 1-thread row — the same configuration, so it is not timed
+  // twice. speedup_vs_dense of batch-simd is the headline training number
+  // (the perf gate keys on it).
+  {
+    hmm::TrainOptions train = base;
+    train.no_simd = true;
     BatchTrainRun run;
-    run.name = no_simd ? "batch-scalar" : "batch-simd";
-    run.width = train.batch_width;
-    run.simd_level = simd_level;
-    run.seconds = seconds;
-    run.speedup_vs_dense = dense_single_seconds / seconds;
-    run.bit_identical =
-        model.a().MaxAbsDiff(reference_model.a()) == 0.0 &&
-        model.b().MaxAbsDiff(reference_model.b()) == 0.0 &&
-        model.pi() == reference_model.pi();
-    results->bit_identical = results->bit_identical && run.bit_identical;
+    run.name = "batch-scalar";
+    const hmm::HmmModel model = time_training(train, /*reference=*/false,
+                                              &run.seconds, &run.simd_level);
+    run.bit_identical = SameModel(model, reference_model);
     results->batch_train_runs.push_back(std::move(run));
+  }
+  {
+    const TrainRun& single = results->train_runs.front();
+    BatchTrainRun run;
+    run.name = "batch-simd";
+    run.seconds = single.seconds;
+    run.simd_level = single.simd_level;
+    run.bit_identical = SameModel(single_thread_model, reference_model);
+    results->batch_train_runs.push_back(std::move(run));
+  }
+  for (BatchTrainRun& run : results->batch_train_runs) {
+    run.width = hmm::BatchEStep::kDefaultWidth;
+    run.speedup_vs_dense = results->reference_seconds / run.seconds;
+    results->bit_identical = results->bit_identical && run.bit_identical;
   }
 
   util::TablePrinter table({"Baum-Welch (" +
                                 std::to_string(preset.train_iterations) +
                                 " iters)",
-                            "threads", "kernel", "seconds", "speedup",
+                            "threads", "engine", "seconds", "speedup",
                             "efficiency"});
+  table.AddRow({"train", "1", "dense reference",
+                util::StrFormat("%.3f", results->reference_seconds), "", ""});
   for (const TrainRun& run : results->train_runs) {
     table.AddRow({"train", std::to_string(run.threads),
-                  run.kernel + " (ran " + run.executed_kernel + ")",
+                  "batch (" + run.simd_level + ")",
                   util::StrFormat("%.3f", run.seconds),
                   util::StrFormat("%.2fx", run.speedup),
-                  util::StrFormat("%.2f", run.per_thread_efficiency)});
+                  EfficiencyCell(run.threads, run.per_thread_efficiency)});
   }
   for (const BatchTrainRun& run : results->batch_train_runs) {
     table.AddRow({"train", "1",
@@ -442,18 +365,11 @@ void BenchTraining(const TrainingSetup& setup, const Preset& preset,
                   ""});
   }
   table.Print();
-  std::printf("all runs bit-identical (threads x kernel x batch): %s\n"
-              "(legacy rows pin their kernel with batch_width=0; the"
-              " shipped default is the batched engine; all rows train the"
-              " production smooth_transitions=false configuration so A's"
-              " pCTM zero pattern survives; auto-select on"
-              " this corpus: density %.3f vs cutoff %.2f -> %s)\n"
-              "(multi-thread rows strong-scale a fixed %zu-window corpus;"
-              " efficiency = speedup/threads)\n\n",
+  std::printf("every model bit-identical to the dense reference: %s\n"
+              "(transition density %.3f; multi-thread rows strong-scale a"
+              " fixed %zu-window corpus; efficiency = speedup/threads)\n\n",
               results->bit_identical ? "yes" : "NO — BUG",
-              results->train_transition_density,
-              results->train_density_cutoff,
-              results->train_auto_kernel.c_str(), windows.size());
+              results->train_transition_density, windows.size());
 }
 
 void BenchKernels(const TrainingSetup& setup, const Preset& preset,
@@ -473,11 +389,10 @@ void BenchKernels(const TrainingSetup& setup, const Preset& preset,
                    : static_cast<double>(k.emission_nnz) /
                          static_cast<double>(b_cells);
 
-  // Single-thread scoring: the same windows through the dense and the CSR
-  // forward pass, min-of-N. The scores must agree bit for bit.
+  // Single-thread scoring reference: the dense forward pass, window by
+  // window, min-of-N.
   hmm::ForwardWorkspace ws;
   std::vector<double> dense_scores(windows.size());
-  std::vector<double> sparse_scores(windows.size());
   k.dense_seconds = MinWallSeconds(preset.kernel_repeats, [&] {
     for (size_t i = 0; i < windows.size(); ++i) {
       auto score = hmm::PerSymbolLogLikelihood(model, windows[i], &ws);
@@ -485,19 +400,6 @@ void BenchKernels(const TrainingSetup& setup, const Preset& preset,
       dense_scores[i] = *score;
     }
   });
-  k.sparse_seconds = MinWallSeconds(preset.kernel_repeats, [&] {
-    for (size_t i = 0; i < windows.size(); ++i) {
-      auto score = hmm::PerSymbolLogLikelihood(sparse, windows[i], &ws);
-      ADPROM_CHECK_MSG(score.ok(), score.status().ToString());
-      sparse_scores[i] = *score;
-    }
-  });
-  k.sparse_speedup = k.dense_seconds / k.sparse_seconds;
-  for (size_t i = 0; i < windows.size(); ++i) {
-    k.bit_identical = k.bit_identical &&
-                      std::memcmp(&dense_scores[i], &sparse_scores[i],
-                                  sizeof(double)) == 0;
-  }
 
   // The batched engine: the same window set through BatchScorer. ScoreBatch
   // requires one common length per call, so the windows are bucketed by
@@ -549,7 +451,7 @@ void BenchKernels(const TrainingSetup& setup, const Preset& preset,
     run.simd_level = util::SimdLevelName(scorer.simd_level());
     run.seconds = seconds;
     run.windows_per_sec = static_cast<double>(windows.size()) / seconds;
-    run.speedup_vs_sparse = k.sparse_seconds / seconds;
+    run.speedup_vs_dense = k.dense_seconds / seconds;
     // The workspace accumulates across repeats; normalize to one pass.
     run.certified_fraction =
         static_cast<double>(batch_ws.stats.triage_certified) /
@@ -557,10 +459,10 @@ void BenchKernels(const TrainingSetup& setup, const Preset& preset,
     for (size_t i = 0; i < windows.size(); ++i) {
       run.scores_ok =
           run.scores_ok &&
-          (triage ? batch_scores[i] <= sparse_scores[i] &&
+          (triage ? batch_scores[i] <= dense_scores[i] &&
                         (batch_scores[i] < threshold) ==
-                            (sparse_scores[i] < threshold)
-                  : std::memcmp(&batch_scores[i], &sparse_scores[i],
+                            (dense_scores[i] < threshold)
+                  : std::memcmp(&batch_scores[i], &dense_scores[i],
                                 sizeof(double)) == 0);
     }
     if (triage) {
@@ -575,33 +477,27 @@ void BenchKernels(const TrainingSetup& setup, const Preset& preset,
   util::TablePrinter table(
       {"Forward kernel", "seconds (min-of-" +
                              std::to_string(preset.kernel_repeats) + ")",
-       "windows/sec", "vs dense", "vs sparse"});
-  table.AddRow({"dense", util::StrFormat("%.4f", k.dense_seconds),
+       "windows/sec", "vs dense"});
+  table.AddRow({"dense reference", util::StrFormat("%.4f", k.dense_seconds),
                 util::StrFormat("%.0f", windows.size() / k.dense_seconds),
-                "1.00x", ""});
-  table.AddRow({"sparse (CSR)", util::StrFormat("%.4f", k.sparse_seconds),
-                util::StrFormat("%.0f", windows.size() / k.sparse_seconds),
-                util::StrFormat("%.2fx", k.sparse_speedup), "1.00x"});
+                "1.00x"});
   for (const BatchKernelRun& run : k.batch_runs) {
     table.AddRow({run.name + " (" + run.simd_level + ", W=" +
                       std::to_string(run.width) + ")",
                   util::StrFormat("%.4f", run.seconds),
                   util::StrFormat("%.0f", run.windows_per_sec),
-                  util::StrFormat("%.2fx", k.dense_seconds / run.seconds),
-                  util::StrFormat("%.2fx", run.speedup_vs_sparse)});
+                  util::StrFormat("%.2fx", run.speedup_vs_dense)});
   }
   table.Print();
   std::printf("transition matrix: nnz %zu (%.1f%% dense); emission matrix:"
               " nnz %zu (%.1f%% dense)\n",
               k.transition_nnz, 100.0 * k.transition_density,
               k.emission_nnz, 100.0 * k.emission_density);
-  std::printf("sparse scores bit-identical to dense: %s\n",
-              k.bit_identical ? "yes" : "NO — BUG");
   bool batch_ok = true;
   for (const BatchKernelRun& run : k.batch_runs) {
     batch_ok = batch_ok && run.scores_ok;
   }
-  std::printf("batched scores bit-identical (exact) / sound floors"
+  std::printf("batched scores bit-identical to dense (exact) / sound floors"
               " (triage): %s; triage certified %.1f%%, quantized tables"
               " %zu bytes\n\n",
               batch_ok ? "yes" : "NO — BUG",
@@ -650,24 +546,17 @@ void BenchDetection(const Preset& preset, BenchResults* results) {
   };
 
   size_t checksum = 0;  // keep the scoring from being optimized away
-  record("seed-per-window", 1, 1, MinWallSeconds(repeats, [&] {
-           for (const runtime::Trace& trace : traces) {
-             checksum += SeedMonitorTrace(profile, trace).size();
-           }
-         }));
   record("encode-once", 1, 1, MinWallSeconds(repeats, [&] {
            for (const runtime::Trace& trace : traces) {
              checksum += engine.MonitorTrace(trace).size();
            }
          }));
   // Multi-thread rows are WEAK-scaled: the trace set is replicated once
-  // per thread, so per-thread work stays constant across the sweep. The
-  // old strong-scaled sweep handed each extra thread a smaller slice of a
-  // fixed corpus, and on this workload the pool's block fan-out overhead
-  // outgrew the shrinking slices — throughput at 4 threads fell below the
-  // single-thread row. Per-thread efficiency (vs the 1-thread batch row)
-  // is what the JSON tracks: 1.0 means an extra thread adds a full
-  // thread's worth of throughput.
+  // per thread, so per-thread work stays constant across the sweep (a
+  // strong-scaled sweep hands each extra thread a shrinking slice that the
+  // pool's block fan-out overhead soon outgrows). Per-thread efficiency
+  // (vs the 1-thread batch row) is what the JSON tracks: 1.0 means an
+  // extra thread adds a full thread's worth of throughput.
   for (size_t threads : ThreadSweep(preset)) {
     std::vector<runtime::Trace> replicated;
     replicated.reserve(traces.size() * threads);
@@ -702,12 +591,11 @@ void BenchDetection(const Preset& preset, BenchResults* results) {
                   util::StrFormat("%.3f", run.seconds),
                   util::StrFormat("%.0f", run.events_per_sec),
                   util::StrFormat("%.0f", run.windows_per_sec),
-                  util::StrFormat("%.2f", run.per_thread_efficiency)});
+                  EfficiencyCell(run.threads, run.per_thread_efficiency)});
   }
   table.Print();
-  std::printf("(checksum %zu; seed-per-window vs encode-once is the"
-              " single-thread refactor win; batch rows weak-scale the"
-              " corpus so per-thread work is constant)\n",
+  std::printf("(checksum %zu; batch rows weak-scale the corpus so"
+              " per-thread work is constant)\n",
               checksum);
 }
 
@@ -727,25 +615,20 @@ void WriteJson(const BenchResults& results, const Preset& preset,
        << ", \"timing_repeats\": " << results.train_repeats
        << ", \"transition_density\": "
        << Num(results.train_transition_density)
-       << ", \"default_sparse_density_cutoff\": "
-       << Num(results.train_density_cutoff)
-       << ", \"auto_selected_kernel\": \"" << results.train_auto_kernel
-       << "\", \"smooth_transitions\": false"
        << ", \"bit_identical\": "
-       << (results.bit_identical ? "true" : "false") << ", \"runs\": [";
+       << (results.bit_identical ? "true" : "false")
+       << ", \"reference\": {\"name\": \"dense-reference\", \"threads\": 1"
+       << ", \"wall_time_sec\": " << Num(results.reference_seconds)
+       << "}, \"runs\": [";
   for (size_t i = 0; i < results.train_runs.size(); ++i) {
     const TrainRun& run = results.train_runs[i];
     json << (i ? ", " : "") << "{\"threads\": " << run.threads
-         << ", \"kernel\": \"" << run.kernel << "\""
-         << ", \"executed_kernel\": \"" << run.executed_kernel << "\""
-         << ", \"transition_density\": "
-         << Num(results.train_transition_density)
-         << ", \"sparse_density_cutoff\": "
-         << Num(run.sparse_density_cutoff)
-         << ", \"wall_time_sec\": " << Num(run.seconds)
+         << ", \"engine\": \"batch\", \"simd_level\": \"" << run.simd_level
+         << "\", \"wall_time_sec\": " << Num(run.seconds)
          << ", \"speedup\": " << Num(run.speedup)
-         << ", \"per_thread_efficiency\": "
-         << Num(run.per_thread_efficiency) << "}";
+         << ", \"speedup_vs_dense\": "
+         << Num(results.reference_seconds / run.seconds)
+         << ScalingJson(run.threads, run.per_thread_efficiency) << "}";
   }
   json << "], \"batch_runs\": [";
   for (size_t i = 0; i < results.batch_train_runs.size(); ++i) {
@@ -753,7 +636,6 @@ void WriteJson(const BenchResults& results, const Preset& preset,
     json << (i ? ", " : "") << "{\"name\": \"" << run.name
          << "\", \"width\": " << run.width << ", \"simd_level\": \""
          << run.simd_level << "\""
-         << ", \"executed_kernel\": \"batch\""
          << ", \"wall_time_sec\": " << Num(run.seconds)
          << ", \"speedup_vs_dense\": " << Num(run.speedup_vs_dense)
          << ", \"bit_identical\": "
@@ -764,18 +646,12 @@ void WriteJson(const BenchResults& results, const Preset& preset,
   json << "  \"kernels\": {\"corpus\": \"bash-like\", \"windows\": "
        << k.windows << ", \"timing_repeats\": " << k.repeats
        << ", \"dense_wall_time_sec\": " << Num(k.dense_seconds)
-       << ", \"sparse_wall_time_sec\": " << Num(k.sparse_seconds)
        << ", \"dense_windows_per_sec\": "
        << Num(k.windows / k.dense_seconds)
-       << ", \"sparse_windows_per_sec\": "
-       << Num(k.windows / k.sparse_seconds)
-       << ", \"sparse_speedup\": " << Num(k.sparse_speedup)
        << ", \"transition_nnz\": " << k.transition_nnz
        << ", \"transition_density\": " << Num(k.transition_density)
        << ", \"emission_nnz\": " << k.emission_nnz
        << ", \"emission_density\": " << Num(k.emission_density)
-       << ", \"bit_identical\": "
-       << (k.bit_identical ? "true" : "false")
        << ", \"quantized_table_bytes\": " << k.quantized_table_bytes
        << ", \"batch_runs\": [";
   for (size_t i = 0; i < k.batch_runs.size(); ++i) {
@@ -785,7 +661,7 @@ void WriteJson(const BenchResults& results, const Preset& preset,
          << run.simd_level << "\""
          << ", \"wall_time_sec\": " << Num(run.seconds)
          << ", \"windows_per_sec\": " << Num(run.windows_per_sec)
-         << ", \"speedup_vs_sparse\": " << Num(run.speedup_vs_sparse)
+         << ", \"speedup_vs_dense\": " << Num(run.speedup_vs_dense)
          << ", \"triage_certified_fraction\": "
          << Num(run.certified_fraction)
          << ", \"scores_ok\": " << (run.scores_ok ? "true" : "false")
@@ -807,8 +683,7 @@ void WriteJson(const BenchResults& results, const Preset& preset,
          << ", \"wall_time_sec\": " << Num(run.seconds)
          << ", \"events_per_sec\": " << Num(run.events_per_sec)
          << ", \"windows_per_sec\": " << Num(run.windows_per_sec)
-         << ", \"per_thread_efficiency\": "
-         << Num(run.per_thread_efficiency) << "}";
+         << ScalingJson(run.threads, run.per_thread_efficiency) << "}";
   }
   json << "]}\n";
   json << "}\n";

@@ -53,38 +53,49 @@ def check_runs(runs, path, section, required_numbers):
                 fail(path, f"{section}.runs[{i}].{key} = {run[key]!r}")
 
 
+def check_scaling(runs, path, section, hardware_concurrency):
+    """A threaded row measures scaling only on a host that runs all of its
+    threads at once. A row with more threads than hardware_concurrency
+    times oversubscription: it must say "measured": false and carry no
+    efficiency. Every other row must say "measured": true and carry one."""
+    for i, run in enumerate(runs):
+        where = f"{section}.runs[{i}] ({run['threads']} threads)"
+        if run["threads"] > hardware_concurrency:
+            if run.get("measured") is not False:
+                fail(path, f"{where} exceeds hardware_concurrency "
+                           f"{hardware_concurrency} but is not marked "
+                           "\"measured\": false")
+            if "per_thread_efficiency" in run:
+                fail(path, f"{where} is not measured but reports a "
+                           "per_thread_efficiency")
+        else:
+            if run.get("measured") is not True:
+                fail(path, f"{where} is not marked \"measured\": true")
+            check_runs([run], path, where, ["per_thread_efficiency"])
+
+
 def check_throughput(doc, path):
+    hardware = doc["provenance"]["hardware_concurrency"]
     training = require(doc, path, "training", dict)
-    check_runs(require(training, path, "runs", list), path, "training",
-               ["threads", "wall_time_sec", "speedup",
-                "per_thread_efficiency", "transition_density",
-                "sparse_density_cutoff"])
-    kernels_seen = {run.get("kernel") for run in training["runs"]}
-    if kernels_seen != {"sparse", "dense"}:
-        fail(path, f"training.runs kernels are {sorted(kernels_seen)}, "
-                   "expected both 'sparse' and 'dense'")
-    for i, run in enumerate(training["runs"]):
-        if run.get("executed_kernel") not in ("csr", "dense"):
-            fail(path, f"training.runs[{i}].executed_kernel = "
-                       f"{run.get('executed_kernel')!r}, expected the "
-                       "legacy 'csr' or 'dense' (batch rows live in "
-                       "training.batch_runs)")
+    reference = require(training, path, "reference", dict)
+    if reference.get("threads") != 1:
+        fail(path, "training.reference must be a single-thread row")
+    ref_seconds = require(reference, path, "wall_time_sec", (int, float))
+    if ref_seconds <= 0:
+        fail(path, f"training.reference.wall_time_sec = {ref_seconds}")
+    runs = require(training, path, "runs", list)
+    check_runs(runs, path, "training",
+               ["threads", "wall_time_sec", "speedup", "speedup_vs_dense"])
+    check_scaling(runs, path, "training", hardware)
+    for i, run in enumerate(runs):
+        if run.get("engine") != "batch" or not run.get("simd_level"):
+            fail(path, f"training.runs[{i}] must run the production batch "
+                       "engine and name its simd_level")
     if training.get("bit_identical") is not True:
         fail(path, "training.bit_identical is not true")
-    for key in ("transition_density", "default_sparse_density_cutoff"):
-        value = require(training, path, key, (int, float))
-        if value <= 0:
-            fail(path, f"training.{key} = {value}")
-    if training.get("auto_selected_kernel") not in ("csr", "dense"):
-        fail(path, "training.auto_selected_kernel is not 'csr'/'dense'")
-    # The bench must train the production configuration: flooring only B
-    # and pi keeps A's pCTM zero pattern intact across iterations. With
-    # HmmModel::Smooth instead, the first M-step densifies A to 100% and
-    # every later iteration silently measures a different workload than
-    # the recorded transition_density describes.
-    if training.get("smooth_transitions") is not False:
-        fail(path, "training.smooth_transitions is not false (rows must "
-                   "train the pCTM-preserving production configuration)")
+    density = require(training, path, "transition_density", (int, float))
+    if density <= 0:
+        fail(path, f"training.transition_density = {density}")
 
     batch_train = require(training, path, "batch_runs", list)
     check_runs(batch_train, path, "training.batch_runs",
@@ -99,15 +110,15 @@ def check_throughput(doc, path):
         if run.get("bit_identical") is not True:
             fail(path, f"training.batch_runs[{i}].bit_identical is not "
                        "true (the batched engine must train the exact "
-                       "model the legacy sweep trained)")
+                       "model the dense reference trained)")
         # The training perf gate: with real SIMD lanes the batched E-step
         # must beat the dense single-thread reference by >= 3x. It binds
         # only at scale (the --smoke preset trains a toy model over ~100
         # windows, where fixed per-iteration overhead dominates and the
-        # multiple is meaningless — same reasoning as the fleet gate) and
-        # only off scalar hardware: a forced-scalar or lane-less run
-        # reports simd_level "scalar" and is exempt (the batch-scalar row
-        # exists so that configuration is still tracked).
+        # multiple is meaningless) and only off scalar hardware: a
+        # forced-scalar or lane-less run reports simd_level "scalar" and is
+        # exempt (the batch-scalar row exists so that configuration is
+        # still tracked).
         if (run.get("name") == "batch-simd"
                 and run.get("simd_level") != "scalar"
                 and training.get("windows", 0) >= 200
@@ -117,20 +128,18 @@ def check_throughput(doc, path):
                        f"{run['speedup_vs_dense']} < 3.0")
 
     kernels = require(doc, path, "kernels", dict)
-    for key in ("dense_wall_time_sec", "sparse_wall_time_sec",
-                "sparse_speedup", "transition_density", "emission_density"):
+    for key in ("dense_wall_time_sec", "transition_density",
+                "emission_density"):
         value = require(kernels, path, key, (int, float))
         if value <= 0:
             fail(path, f"kernels.{key} = {value}")
     require(kernels, path, "transition_nnz", int)
     require(kernels, path, "emission_nnz", int)
-    if kernels.get("bit_identical") is not True:
-        fail(path, "kernels.bit_identical is not true")
 
     batch_runs = require(kernels, path, "batch_runs", list)
     check_runs(batch_runs, path, "kernels.batch_runs",
                ["width", "wall_time_sec", "windows_per_sec",
-                "speedup_vs_sparse", "triage_certified_fraction"])
+                "speedup_vs_dense", "triage_certified_fraction"])
     names = {run.get("name") for run in batch_runs}
     for expected in ("batch-scalar", "batch-simd", "batch-simd-triage"):
         if expected not in names:
@@ -140,8 +149,8 @@ def check_throughput(doc, path):
             fail(path, f"kernels.batch_runs[{i}].simd_level is missing")
         if run.get("scores_ok") is not True:
             fail(path, f"kernels.batch_runs[{i}].scores_ok is not true "
-                       "(exact rows must be bit-identical, triage rows "
-                       "sound floors)")
+                       "(exact rows must be bit-identical to the dense "
+                       "reference, triage rows sound floors)")
     table_bytes = require(kernels, path, "quantized_table_bytes", int)
     if table_bytes <= 0:
         fail(path, f"kernels.quantized_table_bytes = {table_bytes}")
@@ -150,7 +159,8 @@ def check_throughput(doc, path):
     detect_runs = require(detection, path, "runs", list)
     check_runs(detect_runs, path, "detection",
                ["threads", "events", "wall_time_sec", "events_per_sec",
-                "windows_per_sec", "per_thread_efficiency"])
+                "windows_per_sec"])
+    check_scaling(detect_runs, path, "detection", hardware)
     if not any(run.get("weak_scaled") is True for run in detect_runs
                if run.get("threads", 1) > 1):
         fail(path, "detection has multi-thread runs but none weak-scaled"
@@ -170,24 +180,6 @@ def check_streaming(doc, path):
                 "submit_p50_us", "submit_p99_us"])
     if not any(run.get("shards", 0) >= 8 for run in fleet_runs):
         fail(path, "fleet_runs has no row with >= 8 shards")
-    baselines = [run for run in fleet_runs
-                 if run.get("name") == "single_manager_baseline"]
-    if not baselines:
-        fail(path, "fleet_runs has no single_manager_baseline row")
-    # The throughput gate only binds at fleet scale: the --smoke preset
-    # runs a few hundred sessions, where per-session engine compilation
-    # does not dominate and the multiple is meaningless.
-    baseline = baselines[0]
-    at_scale = [run for run in fleet_runs
-                if run.get("name") == "fleet" and run.get("shards", 0) >= 8
-                and run.get("sessions", 0) >= 10000
-                and run.get("sessions") == baseline.get("sessions")]
-    for run in at_scale:
-        multiple = run["events_per_sec"] / baseline["events_per_sec"]
-        if multiple < 2.0:
-            fail(path, f"fleet at {run['shards']} shards / "
-                       f"{run['sessions']} sessions is only {multiple:.2f}x "
-                       "the single-manager baseline (need >= 2x)")
 
 
 def check_analysis(doc, path):

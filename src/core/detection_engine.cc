@@ -32,17 +32,11 @@ DetectionEngine::DetectionEngine(const ApplicationProfile* profile)
       // std::set iterates in pair order, so the copy is already sorted.
       context_pairs_(profile->context_pairs.begin(),
                      profile->context_pairs.end()),
-      use_sparse_(!profile->options.dense_kernels) {
-  if (use_sparse_) {
-    sparse_ = hmm::SparseHmm(profile->model);
-    if (profile->options.batch_width > 0) {
-      hmm::BatchOptions batch_options;
-      batch_options.width = profile->options.batch_width;
-      batch_options.no_simd = profile->options.no_simd;
-      batch_options.triage = profile->options.triage;
-      batch_ = hmm::BatchScorer(&sparse_, batch_options);
-    }
-  }
+      sparse_(profile->model) {
+  hmm::BatchOptions batch_options;
+  batch_options.no_simd = profile->options.no_simd;
+  batch_options.triage = profile->options.triage;
+  batch_ = hmm::BatchScorer(&sparse_, batch_options);
 }
 
 int DetectionEngine::SymbolOf(const runtime::CallEvent& event,
@@ -140,31 +134,16 @@ Detection DetectionEngine::AssembleVerdict(
 void DetectionEngine::ScoreWindows(std::span<const hmm::SymbolSpan> seqs,
                                    hmm::BatchWorkspace* ws,
                                    std::span<double> out) const {
-  if (seqs.empty()) return;
-  if (batch_.enabled()) {
-    // The triage threshold is the profile threshold: a certified window's
-    // exact score provably clears it, so AssembleVerdict's comparison
-    // lands on the same side either way.
-    util::Status status =
-        batch_.ScoreBatch(seqs, profile_->threshold, ws, out);
-    if (status.ok()) return;
-    // Fall through to the window-at-a-time path (mixed-length or invalid
-    // input; an unscorable window gets -1e9).
-  }
-  for (size_t i = 0; i < seqs.size(); ++i) {
-    auto score =
-        use_sparse_
-            ? hmm::PerSymbolLogLikelihood(sparse_, seqs[i], &ws->forward)
-            : hmm::PerSymbolLogLikelihood(profile_->model, seqs[i],
-                                          &ws->forward);
-    out[i] = score.ok() ? *score : -1e9;
+  // The triage threshold is the profile threshold: a certified window's
+  // exact score provably clears it, so AssembleVerdict's comparison lands
+  // on the same side either way.
+  if (!batch_.ScoreBatch(seqs, profile_->threshold, ws, out).ok()) {
+    std::fill(out.begin(), out.end(), -1e9);
   }
 }
 
 void DetectionEngine::ReserveWorkspace(hmm::BatchWorkspace* ws) const {
-  ws->forward.Reserve(profile_->options.window_length,
-                      profile_->model.num_states());
-  if (batch_.enabled()) batch_.Reserve(ws);
+  batch_.Reserve(ws);
 }
 
 std::vector<Detection> DetectionEngine::MonitorTraceInto(

@@ -29,15 +29,13 @@ namespace adprom::core {
 /// overlapping window as a slice of those arrays, with zero per-window
 /// heap allocations in steady state. The streaming service keeps the same
 /// arrays per session and assembles verdicts from them the same way.
-/// Ready windows are
-/// scored through the batched engine (hmm::BatchScorer): up to
-/// ProfileOptions::batch_width windows advance together per forward step,
-/// sweeping the transition CSR once per step instead of once per window,
-/// with lane-per-window SIMD kernels that stay bit-identical to scalar
-/// ForwardInto. MonitorTraces cuts the traces into blocks fanned across a
-/// worker pool; each block reuses one reserved workspace for all of its
-/// traces. Set ProfileOptions::dense_kernels or batch_width = 0 before
-/// constructing the engine to force the original window-at-a-time path.
+/// Every window is scored through the batched engine (hmm::BatchScorer):
+/// up to hmm::BatchOptions::width windows advance together per forward
+/// step, sweeping the transition CSR once per step instead of once per
+/// window, with lane-per-window SIMD kernels that stay bit-identical to
+/// scalar ForwardInto. MonitorTraces cuts the traces into blocks fanned
+/// across a worker pool; each block reuses one reserved workspace for all
+/// of its traces.
 class DetectionEngine {
  public:
   /// `profile` must outlive the engine.
@@ -71,12 +69,12 @@ class DetectionEngine {
   bool InContext(const runtime::CallEvent& event) const;
 
   /// Scores a group of equal-length windows into `out` (same size as
-  /// `seqs`) through the batched engine, falling back to the scalar
-  /// workspace path when batching is disabled. Exact-tier scores are
+  /// `seqs`) through the batched engine. Exact-tier scores are
   /// bit-identical to the scalar hmm::PerSymbolLogLikelihood per window;
   /// with the triage tier enabled, certified-benign windows report their
   /// lower bound instead (AssembleVerdict reaches the same flag either
-  /// way).
+  /// way). Should the engine reject the group (mixed lengths, or a symbol
+  /// outside the model's alphabet), every window in it scores -1e9.
   void ScoreWindows(std::span<const hmm::SymbolSpan> seqs,
                     hmm::BatchWorkspace* ws, std::span<double> out) const;
 
@@ -98,13 +96,9 @@ class DetectionEngine {
                             hmm::SymbolSpan seq, size_t window_start,
                             double score) const;
 
-  /// Pre-sizes `ws` for this engine's window length, state count and batch
-  /// width, so steady-state scoring through it allocates nothing.
+  /// Pre-sizes `ws` for this engine's state count and batch width, so
+  /// steady-state scoring through it allocates nothing.
   void ReserveWorkspace(hmm::BatchWorkspace* ws) const;
-
-  /// The batched scoring engine (disabled under dense kernels or
-  /// batch_width = 0; see ProfileOptions).
-  const hmm::BatchScorer& batch_scorer() const { return batch_; }
 
  private:
   /// MonitorTrace body against a caller-owned (reserved) workspace, so the
@@ -116,12 +110,9 @@ class DetectionEngine {
   /// profile_->context_pairs as a sorted flat array, searched with
   /// (caller, callee) string views.
   std::vector<std::pair<std::string, std::string>> context_pairs_;
-  /// CSR compilation of profile_->model, built once at construction
-  /// (empty and unused when the profile asks for dense kernels).
+  /// CSR compilation of profile_->model, built once at construction.
   hmm::SparseHmm sparse_;
-  bool use_sparse_ = false;
-  /// Batched scoring engine over sparse_ (disabled when dense kernels are
-  /// forced or batch_width is 0).
+  /// Batched scoring engine over sparse_.
   hmm::BatchScorer batch_;
 };
 

@@ -93,18 +93,9 @@ struct ProfileOptions {
   size_t max_training_windows = 0;
   /// Post-init/training probability smoothing. Applied structurally
   /// (HmmModel::SmoothEmissions): B and π get the floor, A keeps the
-  /// pCTM's exact zeros so the CSR detection/training kernels have real
-  /// sparsity to exploit.
+  /// pCTM's exact zeros so the batch engines' CSR compilation (SparseHmm)
+  /// has real sparsity to exploit.
   double smoothing = 1e-6;
-  /// Runtime-only ablation switch (never serialized): score and train with
-  /// the original dense kernels instead of the CSR ones. The two paths are
-  /// bit-identical; this exists for benchmarks, differential tests and the
-  /// --dense-kernels CLI flag.
-  bool dense_kernels = false;
-  /// Runtime-only (never serialized): W for the batched scoring engine —
-  /// how many ready windows advance together per forward step
-  /// (`--batch-width`). 0 disables batching and scores window-at-a-time.
-  size_t batch_width = 16;
   /// Runtime-only: pin the batched kernels to the scalar flavour even where
   /// the CPU offers AVX2/NEON (`--no-simd`). Bit-identical either way;
   /// exists for ablation and CI fallback coverage.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "hmm/batch_forward.h"
 #include "hmm/inference.h"
@@ -60,6 +61,30 @@ util::Matrix BuildCtvMatrix(const analysis::Ctm& pctm, size_t input_cap) {
       ctv.At(i, fold(n + 2 + j)) += pctm.between(i, j);
   }
   return ctv;
+}
+
+/// Scores `windows` through `scorer` into `out` (same size), one
+/// ScoreBatch call per run of consecutive equal-length windows. Each score
+/// is bit-identical to hmm::PerSymbolLogLikelihood on that window. The
+/// CSDS early-stopping score and the threshold scan both go through here.
+util::Status ScoreWindowRuns(
+    const hmm::BatchScorer& scorer,
+    std::span<const hmm::ObservationSeq* const> windows,
+    hmm::BatchWorkspace* ws, std::span<double> out) {
+  for (size_t begin = 0; begin < windows.size();) {
+    size_t end = begin + 1;
+    while (end < windows.size() &&
+           windows[end]->size() == windows[begin]->size()) {
+      ++end;
+    }
+    ws->spans.clear();
+    for (size_t i = begin; i < end; ++i) ws->spans.emplace_back(*windows[i]);
+    ADPROM_RETURN_IF_ERROR(scorer.ScoreBatch(ws->spans,
+                                             /*triage_threshold=*/0.0, ws,
+                                             out.subspan(begin, end - begin)));
+    begin = end;
+  }
+  return util::Status::Ok();
 }
 
 }  // namespace
@@ -261,7 +286,7 @@ util::Result<ApplicationProfile> ProfileConstructor::Construct(
   // --- Baum-Welch with CSDS early stopping -------------------------------
   // One worker pool serves training (sharded E-step) and the final
   // threshold scan. The CSDS score stays serial — it is a float sum whose
-  // order must not depend on the thread count — but reuses one forward
+  // order must not depend on the thread count — but reuses one batch
   // workspace so the per-iteration scoring allocates nothing.
   t0 = std::chrono::steady_clock::now();
   const size_t num_threads =
@@ -270,82 +295,31 @@ util::Result<ApplicationProfile> ProfileConstructor::Construct(
   if (num_threads > 1) {
     pool = std::make_unique<util::ThreadPool>(num_threads);
   }
-  hmm::ForwardWorkspace csds_workspace;
-  hmm::BatchWorkspace csds_batch_ws;
-  std::vector<double> csds_scores(csds_scored.size());
-  const bool use_batch =
-      !options_.dense_kernels && options_.batch_width > 0;
   hmm::BatchOptions batch_options;
-  batch_options.width = std::max<size_t>(1, options_.batch_width);
   batch_options.no_simd = options_.no_simd;
-  // Scores a run of consecutive equal-length windows from `windows`
-  // through the batched engine, writing per-window scores into `out`
-  // (bit-identical to PerSymbolLogLikelihood per window); falls back to
-  // the per-window kernel if the batch is rejected. Returns the run end.
-  auto score_run = [](const hmm::BatchScorer& scorer,
-                      const std::vector<hmm::ObservationSeq>& windows,
-                      size_t begin, size_t end, hmm::BatchWorkspace* ws,
-                      std::vector<hmm::SymbolSpan>* spans, double* out) {
-    size_t stop = begin + 1;
-    while (stop < end &&
-           windows[stop].size() == windows[begin].size()) {
-      ++stop;
-    }
-    spans->clear();
-    for (size_t i = begin; i < stop; ++i) spans->emplace_back(windows[i]);
-    const auto status = scorer.ScoreBatch(
-        *spans, /*triage_threshold=*/0.0, ws,
-        std::span<double>(out + begin, stop - begin));
-    if (!status.ok()) {
-      hmm::ForwardWorkspace fallback;
-      for (size_t i = begin; i < stop; ++i) {
-        auto ll = hmm::PerSymbolLogLikelihood(*scorer.model(), windows[i],
-                                              &fallback);
-        out[i] = ll.ok() ? *ll : -1e9;
-      }
-    }
-    return stop;
-  };
-  std::vector<hmm::SymbolSpan> csds_spans;
-  auto csds_score = [&](const hmm::HmmModel& model) {
-    if (csds_scored.empty()) return 0.0;
+  std::vector<const hmm::ObservationSeq*> csds_ptrs;
+  csds_ptrs.reserve(csds_scored.size());
+  for (const hmm::ObservationSeq& seq : csds_scored) csds_ptrs.push_back(&seq);
+  std::vector<double> csds_scores(csds_ptrs.size());
+  hmm::BatchWorkspace csds_ws;
+  // The first scoring error; it stops training and ends construction.
+  util::Status scoring_status;
+  // Batched per-window scores, then a serial sum in window order, so the
+  // CSDS mean (and the early-stopping decision) does not depend on how
+  // the windows were batched.
+  auto csds_score = [&](const hmm::HmmModel& model) -> util::Result<double> {
     // One CSR build per Baum-Welch iteration, amortized over the whole
-    // held-out set (bit-identical to dense scoring by construction).
-    hmm::SparseHmm sparse_model;
-    const bool use_sparse = !options_.dense_kernels;
-    if (use_sparse) sparse_model = hmm::SparseHmm(model);
-    if (use_batch) {
-      // Batched per-window scores, then a serial sum in the original
-      // window order — each score is bit-identical to the per-window
-      // kernel's and the sum order is unchanged, so the CSDS mean (and
-      // the early-stopping decision) is bit-identical too.
-      const hmm::BatchScorer scorer(&sparse_model, batch_options);
-      for (size_t i = 0; i < csds_scored.size();) {
-        i = score_run(scorer, csds_scored, i, csds_scored.size(),
-                      &csds_batch_ws, &csds_spans, csds_scores.data());
-      }
-      double total = 0.0;
-      for (const double score : csds_scores) total += score;
-      return total / static_cast<double>(csds_scored.size());
-    }
+    // held-out set.
+    const hmm::SparseHmm sparse_model(model);
+    const hmm::BatchScorer scorer(&sparse_model, batch_options);
+    ADPROM_RETURN_IF_ERROR(
+        ScoreWindowRuns(scorer, csds_ptrs, &csds_ws, csds_scores));
     double total = 0.0;
-    for (const hmm::ObservationSeq& seq : csds_scored) {
-      auto ll = use_sparse
-                    ? hmm::PerSymbolLogLikelihood(sparse_model, seq,
-                                                  &csds_workspace)
-                    : hmm::PerSymbolLogLikelihood(model, seq,
-                                                  &csds_workspace);
-      total += ll.ok() ? *ll : -1e9;
-    }
-    return total / static_cast<double>(csds_scored.size());
+    for (const double score : csds_scores) total += score;
+    return total / static_cast<double>(csds_scores.size());
   };
 
   hmm::TrainOptions train_options = options_.train;
-  // Keep the pCTM's zero transitions through training (they are the
-  // sparsity the CSR kernels rely on), and honour the ablation switches.
-  train_options.smooth_transitions = false;
-  train_options.dense_kernels = options_.dense_kernels;
-  train_options.batch_width = options_.batch_width;
   train_options.no_simd = options_.no_simd;
   double best_csds = -std::numeric_limits<double>::infinity();
   int bad_rounds = 0;
@@ -357,7 +331,12 @@ util::Result<ApplicationProfile> ProfileConstructor::Construct(
     // a blurred model that scores repetition attacks as plausible.)
     constexpr double kDegradeTolerance = 0.02;
     train_options.keep_going = [&](int, const hmm::HmmModel& model) {
-      const double score = csds_score(model);
+      auto scored = csds_score(model);
+      if (!scored.ok()) {
+        scoring_status = scored.status();
+        return false;
+      }
+      const double score = *scored;
       if (score > best_csds) best_csds = score;
       if (score < best_csds - kDegradeTolerance) {
         ++bad_rounds;
@@ -371,6 +350,7 @@ util::Result<ApplicationProfile> ProfileConstructor::Construct(
       profile.train_stats,
       hmm::BaumWelchTrain(&profile.model, bw_windows, train_options,
                           pool.get()));
+  ADPROM_RETURN_IF_ERROR(scoring_status);
   if (timings != nullptr) timings->training_seconds = SecondsSince(t0);
 
   // --- Threshold below every normal window --------------------------------
@@ -390,57 +370,27 @@ util::Result<ApplicationProfile> ProfileConstructor::Construct(
   std::vector<double> block_min(
       num_blocks, std::numeric_limits<double>::max());
   // One CSR view of the trained model, shared read-only by every block.
-  hmm::SparseHmm sparse_model;
-  const bool use_sparse = !options_.dense_kernels;
-  if (use_sparse) sparse_model = hmm::SparseHmm(profile.model);
+  const hmm::SparseHmm sparse_model(profile.model);
   const hmm::BatchScorer threshold_scorer(&sparse_model, batch_options);
+  std::vector<util::Status> block_status(num_blocks);
   util::ParallelFor(pool.get(), num_blocks, [&](size_t blk) {
     const size_t begin = blk * scored.size() / num_blocks;
     const size_t end = (blk + 1) * scored.size() / num_blocks;
-    if (use_batch) {
-      // Runs of equal-length windows go through the batched scorer; each
-      // per-window score is bit-identical to the per-window kernel's, and
-      // min is order-independent, so the chosen threshold is bit-identical
-      // for every batch width and thread count.
-      hmm::BatchWorkspace ws;
-      threshold_scorer.Reserve(&ws);
-      std::vector<hmm::SymbolSpan> spans;
-      std::vector<double> scores;
-      for (size_t i = begin; i < end;) {
-        size_t stop = i + 1;
-        while (stop < end && scored[stop]->size() == scored[i]->size()) {
-          ++stop;
-        }
-        spans.clear();
-        for (size_t j = i; j < stop; ++j) spans.emplace_back(*scored[j]);
-        scores.resize(stop - i);
-        if (threshold_scorer
-                .ScoreBatch(spans, /*triage_threshold=*/0.0, &ws,
-                            std::span<double>(scores))
-                .ok()) {
-          for (const double score : scores) {
-            block_min[blk] = std::min(block_min[blk], score);
-          }
-        } else {
-          for (size_t j = i; j < stop; ++j) {
-            auto ll = hmm::PerSymbolLogLikelihood(sparse_model, *scored[j],
-                                                  &ws.forward);
-            if (ll.ok()) block_min[blk] = std::min(block_min[blk], *ll);
-          }
-        }
-        i = stop;
-      }
-      return;
-    }
-    hmm::ForwardWorkspace workspace;
-    for (size_t i = begin; i < end; ++i) {
-      auto ll = use_sparse ? hmm::PerSymbolLogLikelihood(
-                                 sparse_model, *scored[i], &workspace)
-                           : hmm::PerSymbolLogLikelihood(
-                                 profile.model, *scored[i], &workspace);
-      if (ll.ok()) block_min[blk] = std::min(block_min[blk], *ll);
+    hmm::BatchWorkspace ws;
+    threshold_scorer.Reserve(&ws);
+    std::vector<double> scores(end - begin);
+    block_status[blk] = ScoreWindowRuns(
+        threshold_scorer, std::span(scored).subspan(begin, end - begin), &ws,
+        scores);
+    for (const double score : scores) {
+      block_min[blk] = std::min(block_min[blk], score);
     }
   });
+  // A failed block's scores are incomplete: its error ends construction
+  // before any minimum becomes the threshold.
+  for (const util::Status& status : block_status) {
+    ADPROM_RETURN_IF_ERROR(status);
+  }
   double min_score = std::numeric_limits<double>::max();
   for (double v : block_min) min_score = std::min(min_score, v);
   profile.threshold = min_score - options_.threshold_margin;

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "db/sql_token.h"
+#include "util/nesting_guard.h"
 #include "util/strings.h"
 
 namespace adprom::db {
@@ -251,7 +252,18 @@ class Parser {
 
   // --- Expressions ----------------------------------------------------
 
-  util::Result<std::unique_ptr<SqlExpr>> ParseExpr() { return ParseOr(); }
+  /// Fails once the nesting opened so far exceeds kMaxSqlNestingDepth.
+  util::Status CheckDepth() const {
+    if (depth_ <= kMaxSqlNestingDepth) return util::Status::Ok();
+    return Error(util::StrFormat("expression nested deeper than %zu levels",
+                                 kMaxSqlNestingDepth));
+  }
+
+  util::Result<std::unique_ptr<SqlExpr>> ParseExpr() {
+    const util::NestingGuard guard(&depth_);
+    ADPROM_RETURN_IF_ERROR(CheckDepth());
+    return ParseOr();
+  }
 
   util::Result<std::unique_ptr<SqlExpr>> ParseOr() {
     ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> lhs, ParseAnd());
@@ -273,6 +285,8 @@ class Parser {
 
   util::Result<std::unique_ptr<SqlExpr>> ParseUnary() {
     if (MatchKeyword("NOT")) {
+      const util::NestingGuard guard(&depth_);
+      ADPROM_RETURN_IF_ERROR(CheckDepth());
       ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> e, ParseUnary());
       return SqlExpr::Not(std::move(e));
     }
@@ -349,6 +363,8 @@ class Parser {
 
   std::vector<SqlToken> tokens_;
   size_t pos_ = 0;
+  /// Expression nesting levels open on the current parse path.
+  size_t depth_ = 0;
 };
 
 }  // namespace

@@ -1,12 +1,19 @@
 #ifndef ADPROM_DB_SQL_PARSER_H_
 #define ADPROM_DB_SQL_PARSER_H_
 
+#include <cstddef>
 #include <string>
 
 #include "db/sql_ast.h"
 #include "util/status.h"
 
 namespace adprom::db {
+
+/// Deepest expression nesting ParseSql accepts: each parenthesized
+/// expression and each NOT is one level. SQL text reaches the parser from
+/// injected payloads at run time, so deeper input must fail with a Status
+/// instead of exhausting the stack.
+inline constexpr size_t kMaxSqlNestingDepth = 256;
 
 /// Parses one SQL statement (optionally terminated by ';'). Supported
 /// grammar — deliberately a faithful subset of what the paper's client
@@ -26,7 +33,8 @@ namespace adprom::db {
 ///   operand:= col | int | real | 'string' | NULL
 ///
 /// Note WHERE operands may be literal-vs-literal ('1'='1'), which is what
-/// makes tautology injection expressible.
+/// makes tautology injection expressible. Expressions nested deeper than
+/// kMaxSqlNestingDepth fail with ParseError naming the offset.
 util::Result<SqlStatement> ParseSql(const std::string& sql);
 
 }  // namespace adprom::db

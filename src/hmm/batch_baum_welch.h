@@ -6,10 +6,9 @@
 // backward activation blocks with lane-per-window kernels, then a fused
 // per-window gamma/xi sweep adds their expected counts in exactly the
 // scalar reference's term order. Results are bit-identical to the dense
-// reference in baum_welch.cc for any batch width, SIMD level, and thread
-// count; BaumWelchTrain routes through this engine unless
-// TrainOptions::dense_kernels pins the reference or batch_width == 0 pins
-// the per-sequence kernels.
+// reference in baum_welch.cc (ReferenceBaumWelchTrain) for any batch
+// width, SIMD level, and thread count; BaumWelchTrain always routes
+// through this engine.
 
 #include <cstddef>
 #include <span>
@@ -23,8 +22,8 @@
 namespace adprom::hmm {
 
 /// Expected-count accumulators for one shard of the training corpus.
-/// (Shared by the per-sequence reference loops and the batched engine —
-/// both add the same terms in the same order.)
+/// (Shared by the dense reference E-step and the batched engine — both add
+/// the same terms in the same order.)
 struct EStepAccumulators {
   util::Matrix a_num;
   std::vector<double> a_den;
@@ -102,7 +101,10 @@ struct BatchTrainWorkspace {
 /// from that, so one instance is shared by all shards of a training run.
 class BatchEStep {
  public:
-  explicit BatchEStep(size_t width = 16, bool no_simd = false);
+  /// The width BaumWelchTrain runs the engine at.
+  static constexpr size_t kDefaultWidth = 16;
+
+  explicit BatchEStep(size_t width = kDefaultWidth, bool no_simd = false);
 
   size_t width() const { return width_; }
   util::SimdLevel simd_level() const { return level_; }
@@ -117,8 +119,8 @@ class BatchEStep {
   /// width(), symbols already validated) to `acc`, bit-identically to
   /// running the dense reference over them in order. Forward/backward
   /// walk `sparse`'s CSR structure; the xi sweep uses the CSR rows when
-  /// `csr_xi` is set and the dense rows of `model` otherwise (the same
-  /// density decision the per-sequence kernels make).
+  /// `csr_xi` is set and the dense rows of `model` otherwise
+  /// (BaumWelchTrain decides by transition density; both are exact).
   void AccumulateBlock(const HmmModel& model, const SparseHmm& sparse,
                        bool csr_xi, std::span<const ObservationSeq> seqs,
                        BatchTrainWorkspace* ws, EStepAccumulators* acc) const;

@@ -126,9 +126,6 @@ struct BatchWorkspace {
   // Caller-side staging (DetectionEngine / StreamingMonitor batch paths).
   std::vector<SymbolSpan> spans;
   std::vector<double> scores;
-  /// Scalar workspace for the window-at-a-time fallback path
-  /// (dense-kernel ablation, batch_width = 0).
-  ForwardWorkspace forward;
 
   struct Stats {
     size_t windows = 0;
@@ -161,15 +158,13 @@ class BatchScorer {
   /// when options.triage is set.
   BatchScorer(const SparseHmm* model, BatchOptions options);
 
-  bool enabled() const { return model_ != nullptr; }
-  const SparseHmm* model() const { return model_; }
   const BatchOptions& options() const { return options_; }
   /// The kernel flavour dispatch selected (after --no-simd and the
   /// ADPROM_FORCE_SCALAR override).
   util::SimdLevel simd_level() const { return level_; }
   const TriageTables& triage_tables() const { return triage_; }
 
-  /// Pre-sizes `ws` for this scorer (ForwardWorkspace::Reserve analogue).
+  /// Pre-sizes `ws` for this scorer.
   void Reserve(BatchWorkspace* ws) const;
 
   /// Scores every sequence in `seqs` — all non-empty, of one common

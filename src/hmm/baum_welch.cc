@@ -23,30 +23,26 @@ namespace {
 /// holds an N x N + N x M count matrix) while still feeding 16 workers.
 constexpr size_t kMaxShards = 16;
 
-// EStepAccumulators lives in batch_baum_welch.h now, shared between these
-// per-sequence reference loops and the batched engine.
+/// Transition density at or below which the batched xi sweep walks A's
+/// CSR rows instead of its dense rows. Each stored entry costs the CSR
+/// sweep an index load and a gather, against the dense sweep's contiguous
+/// vectorized rows, so past roughly this density the skipped zeros no
+/// longer pay for the indirection. Both sweeps add the same terms in the
+/// same order, so the choice never changes the trained model.
+constexpr double kCsrXiMaxDensity = 0.15;
 
-/// Adds one sequence's expected counts to `acc`. The arithmetic (and its
-/// order) is exactly the seed serial implementation's; only the buffers
-/// are reused across calls. When `sparse` is non-null the forward/backward
-/// passes and the xi accumulation iterate only A's stored nonzeros, in the
-/// same index order as the dense loops — the skipped terms are exact
-/// zeros, so the result is bit-identical.
-void AccumulateSequence(const HmmModel& model, const SparseHmm* sparse,
-                        const ObservationSeq& seq, ForwardWorkspace* fw_ws,
-                        BackwardWorkspace* bw_ws,
+/// Adds one sequence's expected counts to `acc` with the dense scalar
+/// forward, backward and xi loops: the reference E-step the batched engine
+/// must match bit for bit. The buffers are reused across calls.
+void AccumulateSequence(const HmmModel& model, const ObservationSeq& seq,
+                        ForwardWorkspace* fw_ws, BackwardWorkspace* bw_ws,
                         std::vector<double>* emit_scratch,
                         EStepAccumulators* acc) {
   const size_t n = model.num_states();
-  auto fw = sparse != nullptr ? ForwardInto(*sparse, seq, fw_ws)
-                              : ForwardInto(model, seq, fw_ws);
+  auto fw = ForwardInto(model, seq, fw_ws);
   ADPROM_CHECK(fw.ok());  // symbols were validated before training began
   if (*fw < -1e17) return;  // ~zero-probability outlier
-  if (sparse != nullptr) {
-    ADPROM_CHECK(BackwardInto(*sparse, seq, fw_ws->scale, bw_ws).ok());
-  } else {
-    ADPROM_CHECK(BackwardInto(model, seq, fw_ws->scale, bw_ws).ok());
-  }
+  ADPROM_CHECK(BackwardInto(model, seq, fw_ws->scale, bw_ws).ok());
   acc->total_ll += *fw;
   ++acc->used;
   const size_t t_len = seq.size();
@@ -77,47 +73,36 @@ void AccumulateSequence(const HmmModel& model, const SparseHmm* sparse,
     for (size_t q = 0; q < n; ++q) {
       emit_next[q] = model.b().At(q, seq[t + 1]) * beta_next[q];
     }
-    if (sparse != nullptr) {
-      const CsrMatrix& a = sparse->a();
-      for (size_t s = 0; s < n; ++s) {
-        const double alpha_ts = alpha_t[s];
-        if (alpha_ts == 0.0) continue;
-        double* out_row = acc->a_num.RowData(s);
-        for (size_t k = a.row_ptr[s]; k < a.row_ptr[s + 1]; ++k) {
-          const size_t q = a.col[k];
-          out_row[q] += alpha_ts * a.val[k] * emit_next[q];
-        }
-      }
-    } else {
-      for (size_t s = 0; s < n; ++s) {
-        const double alpha_ts = alpha_t[s];
-        if (alpha_ts == 0.0) continue;
-        const double* a_row = model.a().RowData(s);
-        double* out_row = acc->a_num.RowData(s);
-        for (size_t q = 0; q < n; ++q) {
-          out_row[q] += alpha_ts * a_row[q] * emit_next[q];
-        }
+    for (size_t s = 0; s < n; ++s) {
+      const double alpha_ts = alpha_t[s];
+      if (alpha_ts == 0.0) continue;
+      const double* a_row = model.a().RowData(s);
+      double* out_row = acc->a_num.RowData(s);
+      for (size_t q = 0; q < n; ++q) {
+        out_row[q] += alpha_ts * a_row[q] * emit_next[q];
       }
     }
   }
 }
 
-/// Per-shard state: the accumulators plus the reused inference buffers.
+/// Per-shard state: the accumulators plus the reused E-step buffers (the
+/// batched engine's workspace, or the reference's forward/backward ones).
 struct Shard {
   size_t begin = 0;
   size_t end = 0;
   EStepAccumulators acc;
+  BatchTrainWorkspace batch_ws;
   ForwardWorkspace fw_ws;
   BackwardWorkspace bw_ws;
   std::vector<double> emit_scratch;
-  BatchTrainWorkspace batch_ws;
 };
 
-}  // namespace
-
-util::Result<TrainStats> BaumWelchTrain(
-    HmmModel* model, const std::vector<ObservationSeq>& sequences,
-    const TrainOptions& options, util::ThreadPool* pool) {
+/// The training loop both entry points share; `reference` selects the
+/// dense per-sequence E-step instead of the batched engine.
+util::Result<TrainStats> Train(HmmModel* model,
+                               const std::vector<ObservationSeq>& sequences,
+                               const TrainOptions& options,
+                               util::ThreadPool* pool, bool reference) {
   if (sequences.empty())
     return util::Status::InvalidArgument("no training sequences");
   for (const ObservationSeq& seq : sequences) {
@@ -148,12 +133,9 @@ util::Result<TrainStats> BaumWelchTrain(
     shards[k].end = (k + 1) * sequences.size() / num_shards;
   }
 
-  // The batched engine advances runs of equal-length sequences together;
-  // dense_kernels pins the scalar reference and batch_width == 0 the
-  // per-sequence kernels (all three paths train the bit-identical model).
-  const bool batched = !options.dense_kernels && options.batch_width > 0;
-  const BatchEStep estep(options.batch_width, options.no_simd);
-  if (batched) {
+  // The batched engine advances runs of equal-length sequences together.
+  const BatchEStep estep(BatchEStep::kDefaultWidth, options.no_simd);
+  if (!reference) {
     size_t max_len = 0;
     for (const ObservationSeq& seq : sequences) {
       max_len = std::max(max_len, seq.size());
@@ -179,47 +161,41 @@ util::Result<TrainStats> BaumWelchTrain(
     // Rebuild the CSR view of the (just re-estimated) model. The O(N²)
     // scan is negligible next to the O(ΣT·nnz) E-step, and the read-only
     // SparseHmm is shared safely across the shard workers.
-    SparseHmm sparse_model;
-    const SparseHmm* sparse = nullptr;
-    if (!options.dense_kernels) {
-      sparse_model = SparseHmm(*model);
-      // Past the density cutoff the gathers cost more than the skipped
-      // zeros; run the dense loops instead (bit-identical either way).
-      if (sparse_model.transition_density() <=
-          options.sparse_density_cutoff) {
-        sparse = &sparse_model;
-      }
+    SparseHmm sparse;
+    bool csr_xi = false;
+    if (!reference) {
+      sparse = SparseHmm(*model);
+      csr_xi = sparse.transition_density() <= kCsrXiMaxDensity;
     }
 
     // E-step: every shard accumulates its block of sequences. The batched
-    // path advances maximal runs of consecutive equal-length sequences
-    // (capped at batch_width) through the block kernels; runs are formed
-    // in corpus order, so the accumulation order — and the result — is
-    // exactly the per-sequence path's.
+    // engine advances maximal runs of consecutive equal-length sequences
+    // (capped at the engine width); runs are formed in corpus order, so
+    // the accumulation order — and the result — is exactly the
+    // reference's.
     util::ParallelFor(pool, num_shards, [&](size_t k) {
       Shard& shard = shards[k];
       shard.acc.Reset(n, m);
-      if (batched) {
-        const bool csr_xi = sparse != nullptr;
-        size_t i = shard.begin;
-        while (i < shard.end) {
-          size_t run = 1;
-          const size_t len = sequences[i].size();
-          while (i + run < shard.end && run < estep.width() &&
-                 sequences[i + run].size() == len) {
-            ++run;
-          }
-          estep.AccumulateBlock(
-              *model, sparse_model, csr_xi,
-              std::span<const ObservationSeq>(&sequences[i], run),
-              &shard.batch_ws, &shard.acc);
-          i += run;
+      if (reference) {
+        for (size_t i = shard.begin; i < shard.end; ++i) {
+          AccumulateSequence(*model, sequences[i], &shard.fw_ws,
+                             &shard.bw_ws, &shard.emit_scratch, &shard.acc);
         }
         return;
       }
-      for (size_t i = shard.begin; i < shard.end; ++i) {
-        AccumulateSequence(*model, sparse, sequences[i], &shard.fw_ws,
-                           &shard.bw_ws, &shard.emit_scratch, &shard.acc);
+      size_t i = shard.begin;
+      while (i < shard.end) {
+        size_t run = 1;
+        const size_t len = sequences[i].size();
+        while (i + run < shard.end && run < estep.width() &&
+               sequences[i + run].size() == len) {
+          ++run;
+        }
+        estep.AccumulateBlock(
+            *model, sparse, csr_xi,
+            std::span<const ObservationSeq>(&sequences[i], run),
+            &shard.batch_ws, &shard.acc);
+        i += run;
       }
     });
 
@@ -251,22 +227,13 @@ util::Result<TrainStats> BaumWelchTrain(
       for (size_t s = 0; s < n; ++s)
         model->mutable_pi()[s] = total.pi_acc[s] / pi_total;
     }
-    if (options.smoothing > 0.0) {
-      if (options.smooth_transitions) {
-        model->Smooth(options.smoothing);
-      } else {
-        model->SmoothEmissions(options.smoothing);
-      }
-    }
+    if (options.smoothing > 0.0) model->SmoothEmissions(options.smoothing);
 
     const double mean_ll =
         total.total_ll / static_cast<double>(total.used);
     stats.log_likelihood_curve.push_back(mean_ll);
     stats.iterations = iter + 1;
-    // The executed path can flip between iterations (Smooth densifies A,
-    // which moves the density across the CSR cutoff); report the last one.
-    stats.kernel = batched ? "batch" : (sparse != nullptr ? "csr" : "dense");
-    stats.simd_level = batched ? estep.kernel_name() : "scalar";
+    if (!reference) stats.simd_level = estep.kernel_name();
 
     if (options.keep_going && !options.keep_going(iter, *model)) {
       stats.stopped_by_callback = true;
@@ -279,6 +246,20 @@ util::Result<TrainStats> BaumWelchTrain(
     prev_mean_ll = mean_ll;
   }
   return std::move(stats);
+}
+
+}  // namespace
+
+util::Result<TrainStats> BaumWelchTrain(
+    HmmModel* model, const std::vector<ObservationSeq>& sequences,
+    const TrainOptions& options, util::ThreadPool* pool) {
+  return Train(model, sequences, options, pool, /*reference=*/false);
+}
+
+util::Result<TrainStats> ReferenceBaumWelchTrain(
+    HmmModel* model, const std::vector<ObservationSeq>& sequences,
+    const TrainOptions& options, util::ThreadPool* pool) {
+  return Train(model, sequences, options, pool, /*reference=*/true);
 }
 
 }  // namespace adprom::hmm

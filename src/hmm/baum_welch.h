@@ -17,36 +17,13 @@ struct TrainOptions {
   /// Stop when the mean per-sequence log-likelihood improves by less than
   /// this amount between iterations.
   double tolerance = 1e-4;
-  /// Probability floor applied after each re-estimation so no parameter
-  /// collapses to exactly zero.
+  /// Probability floor applied after each re-estimation so no emission
+  /// or initial probability collapses to exactly zero. It is applied with
+  /// HmmModel::SmoothEmissions, which floors only B and π and keeps A's
+  /// exact-zero pattern — the pCTM structure SparseHmm compiles. Baum-Welch
+  /// itself never turns a zero transition nonzero (its expected count
+  /// stays zero), so the zero pattern survives every iteration.
   double smoothing = 1e-9;
-  /// When true (the default) the post-M-step floor is HmmModel::Smooth,
-  /// which densifies A. When false it is HmmModel::SmoothEmissions, which
-  /// floors only B and π and preserves A's exact-zero pattern — the pCTM
-  /// structure the sparse kernels exploit. Baum-Welch itself never turns a
-  /// zero transition nonzero (its expected count stays zero), so with this
-  /// off the zero pattern survives every iteration.
-  bool smooth_transitions = true;
-  /// Ablation switch: when true the E-step runs the original dense
-  /// forward/backward/xi loops instead of the CSR kernels. Both paths are
-  /// bit-identical by construction; this exists so benchmarks and tests
-  /// can compare them.
-  bool dense_kernels = false;
-  /// The CSR E-step only pays when A is actually sparse: its gathers cost
-  /// ~3 memory ops per stored entry against the dense loop's contiguous
-  /// (vectorizable) row sweeps, so past roughly this transition density
-  /// the skipped zeros no longer cover the indirection (measured crossover
-  /// on the clustered bash-like corpus app, ~28% dense, where CSR is ~1.4x
-  /// *slower*). Models at or below the cutoff use the CSR kernels; denser
-  /// ones silently fall back to the dense loops — output is bit-identical
-  /// either way. Set to 1.0 to force CSR regardless of density.
-  double sparse_density_cutoff = 0.15;
-  /// Batch width W for the batched SIMD E-step engine: runs of up to W
-  /// equal-length sequences advance together through lane-per-window
-  /// forward/backward blocks (see batch_baum_welch.h). 0 pins the legacy
-  /// per-sequence kernels; dense_kernels overrides this entirely. Every
-  /// width trains the bit-identical model.
-  size_t batch_width = 16;
   /// Pins the batched engine's kernels to the scalar flavour regardless of
   /// what the CPU supports (the `--no-simd` ablation switch). Bit-identical
   /// by the engine's contract; this exists for benchmarks and tests.
@@ -72,24 +49,31 @@ struct TrainStats {
   std::vector<double> log_likelihood_curve;
   bool converged = false;
   bool stopped_by_callback = false;
-  /// Which E-step path the final iteration executed: "batch" (the batched
-  /// SIMD engine), "csr" (per-sequence sparse kernels), or "dense" (the
-  /// scalar reference). All three train the bit-identical model; this is
-  /// reporting, so `adprom train` can say how a profile was produced.
-  std::string kernel = "dense";
-  /// The SIMD dispatch the batched engine used ("scalar"/"neon"/"avx2";
-  /// "scalar" whenever the batched engine was not in play).
+  /// The kernel table the batched E-step ran ("scalar"/"neon"/"avx2");
+  /// always "scalar" for ReferenceBaumWelchTrain.
   std::string simd_level = "scalar";
 };
 
 /// Multi-sequence Baum-Welch (EM) re-estimation with Rabiner scaling.
-/// Trains `model` in place on `sequences`. Sequences the current model
-/// assigns ~zero probability are skipped for that iteration (they would
-/// otherwise poison the expected counts). Fails when `sequences` is empty
+/// Trains `model` in place on `sequences`. The E-step runs the batched SIMD
+/// engine (BatchEStep, batch_baum_welch.h) over runs of equal-length
+/// sequences. Sequences the current model assigns ~zero probability are
+/// skipped for that iteration (they would otherwise poison the expected
+/// counts). Fails when `sequences` is empty
 /// or a symbol is out of range. When `pool` is non-null it is used for the
 /// E-step instead of an internally created pool (options.num_threads then
 /// only matters for the serial fast path when it equals 1).
 util::Result<TrainStats> BaumWelchTrain(
+    HmmModel* model, const std::vector<ObservationSeq>& sequences,
+    const TrainOptions& options = TrainOptions(),
+    util::ThreadPool* pool = nullptr);
+
+/// The scalar reference for BaumWelchTrain: the same validation, shard
+/// layout, merge order, M-step and smoothing, with an E-step that runs the
+/// dense per-sequence forward, backward and xi loops. It trains the
+/// bit-identical model; tests and benches compare the batched engine
+/// against it.
+util::Result<TrainStats> ReferenceBaumWelchTrain(
     HmmModel* model, const std::vector<ObservationSeq>& sequences,
     const TrainOptions& options = TrainOptions(),
     util::ThreadPool* pool = nullptr);

@@ -27,11 +27,6 @@ util::Status CheckSequence(const HmmModel& model, SymbolSpan seq) {
 
 }  // namespace
 
-void ForwardWorkspace::Reserve(size_t max_len, size_t num_states) {
-  alpha.Reshape(max_len, num_states);
-  scale.reserve(max_len);
-}
-
 util::Result<double> ForwardInto(const HmmModel& model, SymbolSpan seq,
                                  ForwardWorkspace* ws) {
   ADPROM_RETURN_IF_ERROR(CheckSequence(model, seq));

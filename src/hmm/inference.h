@@ -14,13 +14,14 @@ namespace adprom::hmm {
 /// once-encoded trace buffer so overlapping windows are never re-encoded.
 using SymbolSpan = std::span<const int>;
 
-/// Floor on the per-step forward scale factor, shared by the dense and
-/// sparse kernels (they must floor identically to stay bit-identical).
+/// Floor on the per-step forward scale factor, shared by the dense
+/// reference and the batch kernels (they must floor identically to stay
+/// bit-identical).
 inline constexpr double kScaleFloor = 1e-300;
 
 /// Validates an observation sequence against an alphabet size: empty
-/// sequences and out-of-range symbols fail. Shared by the dense and sparse
-/// kernels.
+/// sequences and out-of-range symbols fail. Shared by the dense reference,
+/// sparse Viterbi and the batch engines.
 util::Status ValidateSequence(size_t num_symbols, SymbolSpan seq);
 
 /// Scaled forward-pass variables: alpha_hat (T x N, each row normalized)
@@ -39,12 +40,6 @@ struct ForwardVariables {
 struct ForwardWorkspace {
   util::Matrix alpha;         // grown to T x N on demand
   std::vector<double> scale;  // grown to T on demand
-
-  /// Pre-grows the buffers for sequences of up to `max_len` symbols under
-  /// a `num_states`-state model, so even the *first* ForwardInto call
-  /// allocates nothing. The streaming service calls this at session setup;
-  /// it is optional everywhere else (buffers also grow on first use).
-  void Reserve(size_t max_len, size_t num_states);
 };
 
 /// Reusable buffers for the backward pass (Baum-Welch E-step).

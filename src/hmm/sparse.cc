@@ -43,106 +43,6 @@ SparseHmm::SparseHmm(const HmmModel& model)
       b_transpose_(model.b().Transpose()),
       pi_(model.pi()) {}
 
-util::Result<double> ForwardInto(const SparseHmm& model, SymbolSpan seq,
-                                 ForwardWorkspace* ws) {
-  ADPROM_RETURN_IF_ERROR(ValidateSequence(model.num_symbols(), seq));
-  const size_t n = model.num_states();
-  const size_t t_len = seq.size();
-
-  ws->alpha.Reshape(t_len, n);
-  ws->scale.assign(t_len, 0.0);
-
-  // t = 0: π and B are dense (the emission smoothing keeps them positive),
-  // so this step is the dense one verbatim, just with B's column read as a
-  // contiguous Bᵀ row.
-  double total = 0.0;
-  {
-    const double* b0 = model.b_transpose().RowData(seq[0]);
-    double* row0 = ws->alpha.RowData(0);
-    for (size_t s = 0; s < n; ++s) {
-      const double v = model.pi()[s] * b0[s];
-      row0[s] = v;
-      total += v;
-    }
-    total = std::max(total, kScaleFloor);
-    ws->scale[0] = total;
-    for (size_t s = 0; s < n; ++s) row0[s] /= total;
-  }
-
-  // t > 0: the O(N²) scatter visits only A's stored nonzeros. A skipped
-  // cell contributes `alpha_p * 0.0 == +0.0` in the dense loop, and adding
-  // +0.0 to the (non-negative) accumulator is a bitwise no-op, so the
-  // result is identical.
-  const CsrMatrix& a = model.a();
-  for (size_t t = 1; t < t_len; ++t) {
-    total = 0.0;
-    const double* prev = ws->alpha.RowData(t - 1);
-    double* cur = ws->alpha.RowData(t);
-    for (size_t s = 0; s < n; ++s) cur[s] = 0.0;
-    for (size_t p = 0; p < n; ++p) {
-      const double alpha_p = prev[p];
-      if (alpha_p == 0.0) continue;
-      const size_t end = a.row_ptr[p + 1];
-      for (size_t k = a.row_ptr[p]; k < end; ++k) {
-        cur[a.col[k]] += alpha_p * a.val[k];
-      }
-    }
-    const double* b_col = model.b_transpose().RowData(seq[t]);
-    for (size_t s = 0; s < n; ++s) {
-      cur[s] *= b_col[s];
-      total += cur[s];
-    }
-    total = std::max(total, kScaleFloor);
-    ws->scale[t] = total;
-    for (size_t s = 0; s < n; ++s) cur[s] /= total;
-  }
-
-  double log_likelihood = 0.0;
-  for (double c : ws->scale) log_likelihood += std::log(c);
-  return log_likelihood;
-}
-
-util::Result<double> PerSymbolLogLikelihood(const SparseHmm& model,
-                                            SymbolSpan seq,
-                                            ForwardWorkspace* workspace) {
-  ADPROM_ASSIGN_OR_RETURN(double log_likelihood,
-                          ForwardInto(model, seq, workspace));
-  return log_likelihood / static_cast<double>(seq.size());
-}
-
-util::Status BackwardInto(const SparseHmm& model, SymbolSpan seq,
-                          const std::vector<double>& scale,
-                          BackwardWorkspace* ws) {
-  ADPROM_RETURN_IF_ERROR(ValidateSequence(model.num_symbols(), seq));
-  if (scale.size() != seq.size())
-    return util::Status::InvalidArgument("scale size mismatch");
-  const size_t n = model.num_states();
-  const size_t t_len = seq.size();
-
-  ws->beta.Reshape(t_len, n);
-  ws->emit_next.assign(n, 0.0);
-  util::Matrix& beta = ws->beta;
-  std::vector<double>& emit_next = ws->emit_next;
-  for (size_t s = 0; s < n; ++s)
-    beta.At(t_len - 1, s) = 1.0 / scale[t_len - 1];
-  const CsrMatrix& a = model.a();
-  for (size_t t = t_len - 1; t-- > 0;) {
-    const double* next = beta.RowData(t + 1);
-    double* cur = beta.RowData(t);
-    const double* b_next = model.b_transpose().RowData(seq[t + 1]);
-    for (size_t q = 0; q < n; ++q) emit_next[q] = b_next[q] * next[q];
-    for (size_t s = 0; s < n; ++s) {
-      double acc = 0.0;
-      const size_t end = a.row_ptr[s + 1];
-      for (size_t k = a.row_ptr[s]; k < end; ++k) {
-        acc += a.val[k] * emit_next[a.col[k]];
-      }
-      cur[s] = acc / scale[t];
-    }
-  }
-  return util::Status::Ok();
-}
-
 util::Result<std::vector<size_t>> Viterbi(const SparseHmm& model,
                                           SymbolSpan seq) {
   ADPROM_RETURN_IF_ERROR(ValidateSequence(model.num_symbols(), seq));

@@ -14,7 +14,7 @@ namespace adprom::hmm {
 /// Compressed-sparse-row view of a matrix: only the exact nonzeros are
 /// stored, in row-major order with ascending column indices inside each
 /// row — the same index order the dense kernels visit, which is what makes
-/// the sparse kernels below bit-identical to their dense counterparts.
+/// the kernels that walk it bit-identical to their dense counterparts.
 struct CsrMatrix {
   size_t rows = 0;
   size_t cols = 0;
@@ -30,12 +30,14 @@ struct CsrMatrix {
   double Density() const;
 };
 
-/// A read-only sparse compilation of an HmmModel for the inference hot
-/// loops. The transition matrix A is stored twice — row-compressed for the
-/// forward/backward/E-step scatter-gather and column-compressed (CSR of
-/// Aᵀ) for the Viterbi column argmax — while B is kept dense but
-/// *transposed* (M x N) so the per-step emission factor b(s, o_t) is a
-/// contiguous row. π is copied.
+/// A read-only sparse compilation of an HmmModel: the model both batch
+/// engines read — the scoring engine (BatchScorer, batch_forward.h) and
+/// the training E-step (BatchEStep, batch_baum_welch.h). The transition
+/// matrix A is stored twice: row-compressed for the E-step's backward pass
+/// and xi sweep, and column-compressed (CSR of Aᵀ) for both engines'
+/// forward gather, the triage tables and the Viterbi column argmax. B is
+/// kept dense but *transposed* (M x N) so the per-step emission factor
+/// b(s, o_t) is a contiguous row. π is copied.
 ///
 /// The struct owns plain copies of the parameters (no back-pointer), so a
 /// SparseHmm stays valid after the source model is mutated or destroyed;
@@ -65,23 +67,6 @@ class SparseHmm {
   util::Matrix b_transpose_;  // M x N
   std::vector<double> pi_;
 };
-
-/// Sparse forward pass: bit-identical to ForwardInto(model, ...) for the
-/// model the SparseHmm was built from (skipped terms are exact zeros whose
-/// dense contribution is `x + 0.0 == x`; the surviving terms are combined
-/// in the same order).
-util::Result<double> ForwardInto(const SparseHmm& model, SymbolSpan seq,
-                                 ForwardWorkspace* workspace);
-
-/// Sparse variant of the detection score; bit-identical to the dense one.
-util::Result<double> PerSymbolLogLikelihood(const SparseHmm& model,
-                                            SymbolSpan seq,
-                                            ForwardWorkspace* workspace);
-
-/// Sparse backward pass; bit-identical to BackwardInto(model, ...).
-util::Status BackwardInto(const SparseHmm& model, SymbolSpan seq,
-                          const std::vector<double>& scale,
-                          BackwardWorkspace* workspace);
 
 /// Sparse Viterbi; bit-identical path (including argmax tie-breaking) to
 /// Viterbi(model, ...). Columns where a skipped zero transition could win

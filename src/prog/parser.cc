@@ -1,9 +1,11 @@
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "prog/lexer.h"
 #include "prog/program.h"
+#include "util/nesting_guard.h"
 #include "util/strings.h"
 
 namespace adprom::prog {
@@ -63,6 +65,13 @@ class Parser {
         Peek().text.c_str()));
   }
 
+  /// Fails once the nesting opened so far exceeds kMaxNestingDepth.
+  util::Status CheckDepth() const {
+    if (depth_ <= kMaxNestingDepth) return util::Status::Ok();
+    return Error(util::StrFormat("nesting deeper than %zu levels",
+                                 kMaxNestingDepth));
+  }
+
   util::Status ExpectPunct(const char* p) {
     if (!MatchPunct(p)) return Error(std::string("expected '") + p + "'");
     return util::Status::Ok();
@@ -93,6 +102,8 @@ class Parser {
   }
 
   util::Result<StmtList> ParseBlock() {
+    const util::NestingGuard guard(&depth_);
+    ADPROM_RETURN_IF_ERROR(CheckDepth());
     ADPROM_RETURN_IF_ERROR(ExpectPunct("{"));
     StmtList body;
     while (!PeekPunct("}")) {
@@ -158,6 +169,8 @@ class Parser {
   }
 
   util::Result<std::unique_ptr<Stmt>> ParseIf(int line) {
+    const util::NestingGuard guard(&depth_);
+    ADPROM_RETURN_IF_ERROR(CheckDepth());
     ADPROM_RETURN_IF_ERROR(ExpectPunct("("));
     ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> cond, ParseExpr());
     ADPROM_RETURN_IF_ERROR(ExpectPunct(")"));
@@ -180,7 +193,11 @@ class Parser {
   }
 
   // Expression grammar: || > && > comparison > +- > */% > unary > primary.
-  util::Result<std::unique_ptr<Expr>> ParseExpr() { return ParseOr(); }
+  util::Result<std::unique_ptr<Expr>> ParseExpr() {
+    const util::NestingGuard guard(&depth_);
+    ADPROM_RETURN_IF_ERROR(CheckDepth());
+    return ParseOr();
+  }
 
   util::Result<std::unique_ptr<Expr>> ParseOr() {
     ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseAnd());
@@ -249,13 +266,14 @@ class Parser {
   }
 
   util::Result<std::unique_ptr<Expr>> ParseUnary() {
-    if (MatchOperator("!")) {
-      ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> e, ParseUnary());
-      return Expr::Unary(UnOp::kNot, std::move(e));
-    }
-    if (MatchOperator("-")) {
-      ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> e, ParseUnary());
-      return Expr::Unary(UnOp::kNeg, std::move(e));
+    for (const auto& [text, op] : {std::pair{"!", UnOp::kNot},
+                                   std::pair{"-", UnOp::kNeg}}) {
+      if (MatchOperator(text)) {
+        const util::NestingGuard guard(&depth_);
+        ADPROM_RETURN_IF_ERROR(CheckDepth());
+        ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> e, ParseUnary());
+        return Expr::Unary(op, std::move(e));
+      }
     }
     return ParsePrimary();
   }
@@ -317,6 +335,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  /// Nesting levels open on the current parse path.
+  size_t depth_ = 0;
 };
 
 }  // namespace

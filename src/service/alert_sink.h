@@ -22,8 +22,7 @@ struct SessionStats {
                                // accepted == scored + dropped, exactly)
   size_t verdicts = 0;         // windows scored (one per completed window)
   size_t alarms = 0;           // verdicts with IsAlarm()
-  /// Generation of the profile this session scored against (0 when the
-  /// manager's legacy default profile — no registry — was used). Pinned
+  /// Generation of the ProfileHandle this session scored against. Pinned
   /// at session creation: a session never mixes generations.
   uint64_t profile_generation = 0;
 };

@@ -17,9 +17,9 @@ namespace adprom::service {
 /// One immutable, versioned deployment of a tenant's application profile:
 /// the profile itself plus its compiled DetectionEngine (CSR transition
 /// matrix, batch scorer, triage tables). Built once per (tenant, version)
-/// and shared read-only by every session of that tenant — sessions no
-/// longer pay the per-session engine compilation the PR-4 service did,
-/// which is what makes 10k+ concurrent sessions per node affordable.
+/// and shared read-only by every session of that tenant — no session pays
+/// an engine compilation of its own, which is what makes 10k+ concurrent
+/// sessions per node affordable.
 ///
 /// Handles are reached through shared_ptr and never mutated after
 /// construction: a hot reload swaps the registry's pointer while live

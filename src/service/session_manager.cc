@@ -7,17 +7,12 @@
 
 namespace adprom::service {
 
-SessionManager::SessionManager(const core::ApplicationProfile* profile,
-                               AlertSink* sink, util::ThreadPool* pool,
+SessionManager::SessionManager(AlertSink* sink, util::ThreadPool* pool,
                                SessionManagerOptions options)
-    : profile_(profile), sink_(sink), pool_(pool), options_(options) {
+    : sink_(sink), pool_(pool), options_(options) {
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
   options_.batch_size = std::max<size_t>(1, options_.batch_size);
 }
-
-SessionManager::SessionManager(AlertSink* sink, util::ThreadPool* pool,
-                               SessionManagerOptions options)
-    : SessionManager(nullptr, sink, pool, options) {}
 
 SessionManager::~SessionManager() {
   CloseAll();
@@ -32,37 +27,25 @@ SessionManager::~SessionManager() {
 
 util::Result<std::shared_ptr<SessionManager::Session>>
 SessionManager::GetOrCreate(const std::string& session_id,
-                            const SessionBinding* binding) {
+                            const SessionBinding& binding) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session_id);
   if (it != sessions_.end()) return it->second;
-  std::shared_ptr<Session> session;
-  if (binding != nullptr) {
-    if (binding->profile == nullptr) {
-      return util::Status::InvalidArgument(
-          "session binding has no profile handle: " + session_id);
-    }
-    session = std::make_shared<Session>(binding->profile);
-    std::string& display = session->display_id;
-    if (!binding->display_scope.empty()) {
-      display.append(binding->display_scope).push_back('/');
-    }
-    display.append(binding->display_key);
-    if (display.empty()) display = session_id;
-    session->tenant = binding->tenant;
-    session->stats.profile_generation = session->profile->generation();
-    if (session->tenant != nullptr) {
-      session->tenant->sessions_opened.fetch_add(1,
-                                                 std::memory_order_relaxed);
-    }
-  } else {
-    if (profile_ == nullptr) {
-      return util::Status::FailedPrecondition(
-          "manager has no default profile; session " + session_id +
-          " needs a SessionBinding");
-    }
-    session = std::make_shared<Session>(profile_);
-    session->display_id = session_id;
+  if (binding.profile == nullptr) {
+    return util::Status::InvalidArgument(
+        "session binding has no profile handle: " + session_id);
+  }
+  auto session = std::make_shared<Session>(binding.profile);
+  std::string& display = session->display_id;
+  if (!binding.display_scope.empty()) {
+    display.append(binding.display_scope).push_back('/');
+  }
+  display.append(binding.display_key);
+  if (display.empty()) display = session_id;
+  session->tenant = binding.tenant;
+  session->stats.profile_generation = session->profile->generation();
+  if (session->tenant != nullptr) {
+    session->tenant->sessions_opened.fetch_add(1, std::memory_order_relaxed);
   }
   session->last_activity = std::chrono::steady_clock::now();
   sessions_[session_id] = session;
@@ -94,27 +77,21 @@ void SessionManager::EnqueueReady(std::shared_ptr<Session> session) {
 }
 
 util::Status SessionManager::Submit(const std::string& session_id,
-                                    runtime::CallEvent event) {
-  return SubmitSpan(session_id, nullptr,
-                    std::span<runtime::CallEvent>(&event, 1));
-}
-
-util::Status SessionManager::Submit(const std::string& session_id,
                                     const SessionBinding& binding,
                                     runtime::CallEvent event) {
-  return SubmitSpan(session_id, &binding,
+  return SubmitSpan(session_id, binding,
                     std::span<runtime::CallEvent>(&event, 1));
 }
 
 util::Status SessionManager::SubmitBatch(
     const std::string& session_id, const SessionBinding& binding,
     std::span<const runtime::CallEvent> events) {
-  return SubmitSpan(session_id, &binding, events);
+  return SubmitSpan(session_id, binding, events);
 }
 
 template <typename Event>
 util::Status SessionManager::SubmitSpan(const std::string& session_id,
-                                        const SessionBinding* binding,
+                                        const SessionBinding& binding,
                                         std::span<Event> events) {
   if (events.empty()) return util::Status::Ok();
   const auto start = std::chrono::steady_clock::now();

@@ -52,8 +52,8 @@ struct SessionManagerOptions {
 /// what id the AlertSink sees, and which tenant's counters it bumps. Read
 /// only by the Submit that creates the session.
 struct SessionBinding {
-  /// Required for the binding Submit overload. The handle's engine is
-  /// shared by every session bound to it.
+  /// Required. The handle's engine is shared by every session bound to
+  /// it.
   std::shared_ptr<const ProfileHandle> profile;
   /// What the sink sees for this session, composed once, at creation:
   /// "<display_scope>/<display_key>", or display_key alone when the scope
@@ -82,14 +82,10 @@ struct SessionBinding {
 /// idle scores it inline on the calling thread through the same
 /// per-batch routine.
 ///
-/// Two construction modes:
-///  - the legacy single-profile constructor: every session compiles its
-///    own DetectionEngine from the shared profile (PR-4 behaviour,
-///    preserved as the baseline the fleet bench compares against);
-///  - the binding mode (profile-less constructor + the SessionBinding
-///    Submit overloads): each session pins a shared ProfileHandle at
-///    creation — different sessions may serve different tenants, and the
-///    per-profile engine compilation is paid once, not per session.
+/// Each session pins the shared ProfileHandle of its SessionBinding at
+/// creation and scores through that handle's engine: different sessions
+/// may serve different tenants, and the per-profile engine compilation is
+/// paid once per handle, not per session.
 ///
 /// Determinism: the verdict sequence each session's sink observes is
 /// bit-identical to DetectionEngine::MonitorTrace over that session's
@@ -99,13 +95,8 @@ struct SessionBinding {
 /// for bounded memory; the dropped_events stat makes the loss explicit.)
 class SessionManager {
  public:
-  /// Legacy mode: every session scores against `profile` with its own
-  /// engine. `profile`, `sink`, and `pool` must outlive the manager.
-  SessionManager(const core::ApplicationProfile* profile, AlertSink* sink,
-                 util::ThreadPool* pool,
-                 SessionManagerOptions options = SessionManagerOptions());
-  /// Binding mode: sessions carry their profile via the SessionBinding
-  /// Submit overloads; the profile-less Submit fails.
+  /// `sink` and `pool` must outlive the manager; a null pool scores every
+  /// session inline on the submitting thread.
   SessionManager(AlertSink* sink, util::ThreadPool* pool,
                  SessionManagerOptions options = SessionManagerOptions());
   /// Closes every live session (flushing short-session verdicts).
@@ -114,17 +105,13 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Routes one event to `session_id`, creating the session on first use
-  /// (legacy-profile sessions only; FailedPrecondition without one).
-  /// Fails with FailedPrecondition if the session is concurrently being
-  /// closed. May block (kBlock policy) when the session queue is full.
-  util::Status Submit(const std::string& session_id,
-                      runtime::CallEvent event);
-
   /// Routes one event (moved into the session queue) to `session_id`,
   /// creating the session bound to `binding` on first use (later submits
   /// may pass any binding with the same profile — the session keeps its
-  /// creation-time pin).
+  /// creation-time pin). Fails with InvalidArgument when a new session's
+  /// binding has no profile, and with FailedPrecondition if the session is
+  /// concurrently being closed. May block (kBlock policy) when the session
+  /// queue is full.
   util::Status Submit(const std::string& session_id,
                       const SessionBinding& binding,
                       runtime::CallEvent event);
@@ -176,16 +163,11 @@ class SessionManager {
   };
 
   struct Session {
-    /// Legacy: private engine compiled from the shared profile.
-    explicit Session(const core::ApplicationProfile* profile)
-        : monitor(profile) {}
-    /// Binding: engine shared through the pinned handle.
     explicit Session(std::shared_ptr<const ProfileHandle> handle)
         : profile(std::move(handle)),
-          tenant(nullptr),
           monitor(&profile->profile(), &profile->engine()) {}
 
-    /// Pinned at creation; null for legacy-profile sessions.
+    /// Pinned at creation; its engine scores every batch.
     std::shared_ptr<const ProfileHandle> profile;
     /// What the sink sees for this session (defaults to the session key).
     std::string display_id;
@@ -204,12 +186,12 @@ class SessionManager {
   };
 
   util::Result<std::shared_ptr<Session>> GetOrCreate(
-      const std::string& session_id, const SessionBinding* binding);
+      const std::string& session_id, const SessionBinding& binding);
   /// `Event` is const CallEvent (copied into the queue) or CallEvent
   /// (moved).
   template <typename Event>
   util::Status SubmitSpan(const std::string& session_id,
-                          const SessionBinding* binding,
+                          const SessionBinding& binding,
                           std::span<Event> events);
   /// Pops the oldest queued event (kDropOldest) and counts it everywhere
   /// it must be counted. Caller holds session->mu.
@@ -235,7 +217,6 @@ class SessionManager {
   void ScoreOneBatch(Session* session, ScoringScratch* scratch,
                      std::unique_lock<std::mutex>* lock);
 
-  const core::ApplicationProfile* profile_;
   AlertSink* sink_;
   util::ThreadPool* pool_;
   SessionManagerOptions options_;

@@ -10,16 +10,9 @@ ScoringScratch& ThreadScoringScratch() {
   return scratch;
 }
 
-StreamingMonitor::StreamingMonitor(const core::ApplicationProfile* profile)
-    : StreamingMonitor(profile, nullptr) {}
-
 StreamingMonitor::StreamingMonitor(const core::ApplicationProfile* profile,
                                    const core::DetectionEngine* engine)
-    : owned_engine_(engine == nullptr
-                        ? std::make_unique<core::DetectionEngine>(profile)
-                        : nullptr),
-      engine_(engine == nullptr ? owned_engine_.get() : engine),
-      window_length_(profile->options.window_length) {
+    : engine_(engine), window_length_(profile->options.window_length) {
   events_.reserve(2 * window_length_);
   symbols_.reserve(2 * window_length_);
   in_context_.reserve(2 * window_length_);

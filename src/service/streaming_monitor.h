@@ -2,7 +2,6 @@
 #define ADPROM_SERVICE_STREAMING_MONITOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -54,16 +53,11 @@ ScoringScratch& ThreadScoringScratch();
 /// one thread at a time (the SessionManager guarantees this).
 class StreamingMonitor {
  public:
-  /// `profile` must outlive the monitor. Compiles a private
-  /// DetectionEngine for this session (the original PR-4 behaviour —
-  /// fine for a handful of sessions, expensive for 10k of them).
-  explicit StreamingMonitor(const core::ApplicationProfile* profile);
-
-  /// Shares a pre-compiled engine across sessions: `profile` and `engine`
-  /// (compiled against that same profile) must outlive the monitor. This
-  /// is the fleet-node path — per-session state is just the sliding
-  /// buffers, and the CSR/triage tables stay hot in cache instead of being
-  /// duplicated per session.
+  /// Scores through an engine shared across sessions: `profile` and
+  /// `engine` (compiled against that same profile) must outlive the
+  /// monitor. Per-session state is just the sliding buffers, and the
+  /// CSR/triage tables stay hot in cache instead of being duplicated per
+  /// session.
   StreamingMonitor(const core::ApplicationProfile* profile,
                    const core::DetectionEngine* engine);
 
@@ -101,9 +95,6 @@ class StreamingMonitor {
   /// Drops everything before the live window once the buffers outgrow 2n.
   void MaybeCompact();
 
-  /// Non-null only for the single-session constructor that owns its
-  /// engine; engine_ below is what every scoring path uses.
-  std::unique_ptr<core::DetectionEngine> owned_engine_;
   const core::DetectionEngine* engine_;
   size_t window_length_;
   /// Sliding buffers, one entry per event: the event, its symbol and its

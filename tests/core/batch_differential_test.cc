@@ -1,23 +1,29 @@
 // Corpus-wide differential suite for the batched scoring engine: for every
 // corpus application, monitoring every recorded trace through the batched
 // SIMD engine must produce verdicts *bit-identical* (flags, scores,
-// provenance) to the unbatched window-at-a-time path, at every batch width
-// — including widths below, equal to, and above the SIMD lane counts — and
-// with SIMD forced off. The quantized triage tier must never change a
+// provenance) to the dense reference (every window scored alone by the
+// scalar forward pass), however many windows each scoring call carries —
+// below, equal to, and above the SIMD lane counts and the engine width —
+// and with SIMD forced off. The quantized triage tier must never change a
 // verdict: same flags on every window of every trace.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "apps/corpus.h"
 #include "core/adprom.h"
 #include "core/detection_engine.h"
+#include "hmm/inference.h"
+#include "tests/core/reference_monitor.h"
 #include "util/thread_pool.h"
 
 namespace adprom::core {
@@ -105,27 +111,46 @@ TEST_P(BatchDifferentialTest, BatchedVerdictsMatchUnbatchedAtEveryWidth) {
   const std::vector<runtime::Trace>& traces = system.training_traces();
   ASSERT_FALSE(traces.empty());
 
-  // Reference: the unbatched window-at-a-time scalar path.
-  ApplicationProfile unbatched = profile;
-  unbatched.options.batch_width = 0;
-  const DetectionEngine reference(&unbatched);
-  const auto expected = reference.MonitorTraces(traces);
+  // no_simd pins the scalar kernels on hardware that would dispatch to
+  // AVX2/NEON.
+  for (const bool no_simd : {false, true}) {
+    ApplicationProfile batched = profile;
+    batched.options.no_simd = no_simd;
+    const DetectionEngine engine(&batched);
+    const auto expected =
+        testing::ReferenceMonitorTraces(engine, batched, traces);
+    ExpectSameVerdicts(expected, engine.MonitorTraces(traces),
+                       "MonitorTraces no_simd=" + std::to_string(no_simd),
+                       /*compare_scores=*/true);
 
-  // Widths 1/3/5 leave sub-lane remainders on every SIMD arch; 32 is the
-  // default W and 33 is one past it. no_simd pins the scalar kernels on
-  // hardware that would dispatch to AVX2/NEON.
-  for (const size_t width : {size_t{1}, size_t{3}, size_t{5}, size_t{32},
-                             size_t{33}}) {
-    for (const bool no_simd : {false, true}) {
-      ApplicationProfile batched = profile;
-      batched.options.batch_width = width;
-      batched.options.no_simd = no_simd;
-      const DetectionEngine engine(&batched);
-      const auto got = engine.MonitorTraces(traces);
-      ExpectSameVerdicts(expected, got,
-                         "width=" + std::to_string(width) +
-                             " no_simd=" + std::to_string(no_simd),
-                         /*compare_scores=*/true);
+    // ScoreWindows with W windows per call: 1, 3 and 17 leave sub-lane
+    // remainders on every SIMD arch, 16 is the engine width and 33 spans
+    // three engine blocks.
+    for (const size_t per_call : {size_t{1}, size_t{3}, size_t{16},
+                                  size_t{17}, size_t{33}}) {
+      hmm::BatchWorkspace ws;
+      engine.ReserveWorkspace(&ws);
+      for (size_t i = 0; i < traces.size(); ++i) {
+        const hmm::ObservationSeq symbols = batched.Encode(traces[i]);
+        const auto windows =
+            SlidingWindows(traces[i], batched.options.window_length);
+        std::vector<hmm::SymbolSpan> spans;
+        for (const auto& window : windows) {
+          const auto start = window.data() - traces[i].data();
+          spans.emplace_back(symbols.data() + start, window.size());
+        }
+        std::vector<double> scores(spans.size());
+        for (size_t w = 0; w < spans.size(); w += per_call) {
+          const size_t count = std::min(per_call, spans.size() - w);
+          engine.ScoreWindows(std::span(spans).subspan(w, count), &ws,
+                              std::span(scores).subspan(w, count));
+        }
+        for (size_t w = 0; w < spans.size(); ++w) {
+          EXPECT_EQ(Bits(scores[w]), Bits(expected[i][w].score))
+              << "per_call=" << per_call << " no_simd=" << no_simd
+              << " trace " << i << " window " << w;
+        }
+      }
     }
   }
 }
@@ -178,21 +203,19 @@ INSTANTIATE_TEST_SUITE_P(AllApps, BatchDifferentialTest,
 // Training-side differential: the batched Baum-Welch engine, the batched
 // CSDS early-stopping scorer, and the batched threshold scan together must
 // construct a *byte-identical* profile — the chosen detection threshold
-// included — for every batch width, SIMD pin, and thread count. The dense
-// reference profile is the anchor.
+// included — for every SIMD pin and thread count, and the threshold must
+// be exactly the dense reference's: the lowest scalar-forward score over
+// every training window, minus the margin.
 TEST(BatchTrainDifferentialTest, ConstructedProfileAndThresholdBitIdentical) {
   const apps::CorpusApp app = apps::MakeGrepLike(12, 1);
   auto program = prog::ParseProgram(app.source);
   ASSERT_TRUE(program.ok());
 
-  auto train = [&](size_t batch_width, bool no_simd, bool dense_kernels,
-                   int threads) {
+  auto train = [&](bool no_simd, int threads) {
     ProfileOptions options;
     options.max_training_windows = 160;
     options.train.max_iterations = 4;
     options.train.num_threads = threads;
-    options.dense_kernels = dense_kernels;
-    options.batch_width = batch_width;
     options.no_simd = no_simd;
     auto system =
         AdProm::Train(*program, app.db_factory, app.test_cases, options);
@@ -200,25 +223,33 @@ TEST(BatchTrainDifferentialTest, ConstructedProfileAndThresholdBitIdentical) {
     return std::make_unique<AdProm>(std::move(system).value());
   };
 
-  const auto reference =
-      train(/*batch_width=*/0, /*no_simd=*/true, /*dense_kernels=*/true,
-            /*threads=*/1);
-  const std::string expected = reference->profile().Serialize();
-  const double expected_threshold = reference->profile().threshold;
+  const auto anchor = train(/*no_simd=*/true, /*threads=*/1);
+  const ApplicationProfile& profile = anchor->profile();
+  const std::string expected = profile.Serialize();
+
+  double min_score = std::numeric_limits<double>::max();
+  for (const runtime::Trace& trace : anchor->training_traces()) {
+    for (const auto& window :
+         SlidingWindows(trace, profile.options.window_length)) {
+      auto score =
+          hmm::PerSymbolLogLikelihood(profile.model, profile.Encode(window));
+      ASSERT_TRUE(score.ok());
+      min_score = std::min(min_score, *score);
+    }
+  }
+  EXPECT_EQ(Bits(profile.threshold),
+            Bits(min_score - profile.options.threshold_margin));
 
   struct Config {
-    size_t width;
     bool no_simd;
     int threads;
   };
-  for (const Config& config : {Config{1, false, 1}, Config{7, false, 3},
-                               Config{16, false, 1}, Config{16, true, 4}}) {
-    const auto got = train(config.width, config.no_simd,
-                           /*dense_kernels=*/false, config.threads);
-    const std::string label = "width=" + std::to_string(config.width) +
-                              " no_simd=" + std::to_string(config.no_simd) +
+  for (const Config& config : {Config{false, 1}, Config{false, 3},
+                               Config{true, 4}}) {
+    const auto got = train(config.no_simd, config.threads);
+    const std::string label = "no_simd=" + std::to_string(config.no_simd) +
                               " threads=" + std::to_string(config.threads);
-    EXPECT_EQ(Bits(got->profile().threshold), Bits(expected_threshold))
+    EXPECT_EQ(Bits(got->profile().threshold), Bits(profile.threshold))
         << label;
     EXPECT_EQ(got->profile().Serialize(), expected) << label;
   }

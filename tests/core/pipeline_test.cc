@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/adprom.h"
+#include "core/analyzer.h"
 #include "core/baselines.h"
 #include "prog/program.h"
 #include "tests/core/test_app.h"
+#include "tests/prog/nesting_programs.h"
 
 namespace adprom::core {
 namespace {
@@ -181,6 +185,25 @@ TEST(PipelineErrorsTest, ProgramWithoutCallsFails) {
   ASSERT_TRUE(program.ok());
   auto system = AdProm::Train(*program, nullptr, {{{}}});
   EXPECT_FALSE(system.ok());
+}
+
+// Programs nested exactly to the parser's limit must survive every
+// analysis pass, not just the parser: the limit exists to bound the
+// recursion of the passes that walk the tree too.
+TEST(NestingLimitTest, ProgramsAtTheParserLimitAnalyze) {
+  const size_t limit = prog::kMaxNestingDepth;
+  const std::string sources[] = {
+      prog::testing::NestedParens(limit - 2),
+      prog::testing::NestedIfs((limit - 2) / 2),
+      prog::testing::ElseIfChain(limit - 4),
+      prog::testing::NotChain(limit - 2),
+  };
+  for (const std::string& source : sources) {
+    auto program = prog::ParseProgram(source);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    auto analysis = Analyzer().Analyze(*program);
+    EXPECT_TRUE(analysis.ok()) << analysis.status().ToString();
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Corpus-wide sparse/dense differential suite: for every corpus
-// application, training with the CSR kernels must produce a *byte-equal*
-// serialized profile to training with the dense kernels, and monitoring
-// every recorded trace must produce identical verdicts (flags, scores,
-// provenance) for every pool size. This is the end-to-end enforcement of
-// the kernels' bit-identity contract — any rounding divergence anywhere in
+// Corpus-wide kernel differential suite: for every corpus application,
+// training with the SIMD kernel table must produce a *byte-equal*
+// serialized profile to training with the scalar kernels pinned, and
+// monitoring every recorded trace through the batch engine must produce
+// verdicts (flags, scores, provenance) identical to the dense reference
+// for every pool size. This is the end-to-end enforcement of the batch
+// engines' bit-identity contract — any rounding divergence anywhere in
 // forward/backward/E-step/scoring shows up here as a byte diff.
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "apps/corpus.h"
 #include "core/adprom.h"
 #include "core/detection_engine.h"
+#include "tests/core/reference_monitor.h"
 #include "util/thread_pool.h"
 
 namespace adprom::core {
@@ -47,13 +49,13 @@ std::string AppParamName(const ::testing::TestParamInfo<int>& info) {
 
 struct TrainedPair {
   std::string name;
-  std::unique_ptr<AdProm> sparse;  // dense_kernels = false (default)
-  std::unique_ptr<AdProm> dense;   // dense_kernels = true
+  std::unique_ptr<AdProm> sparse;  // runtime SIMD dispatch (default)
+  std::unique_ptr<AdProm> dense;   // scalar kernels pinned (no_simd)
 };
 
 class SparseDifferentialTest : public ::testing::TestWithParam<int> {
  protected:
-  /// Trains each app once per process with each kernel flavour.
+  /// Trains each app once per process with each kernel table.
   static const TrainedPair& Trained(int index) {
     static std::vector<TrainedPair>* cache =
         new std::vector<TrainedPair>(kNumApps);
@@ -63,17 +65,17 @@ class SparseDifferentialTest : public ::testing::TestWithParam<int> {
     auto program = prog::ParseProgram(app.source);
     EXPECT_TRUE(program.ok()) << app.name;
     slot.name = app.name;
-    for (bool dense_kernels : {false, true}) {
+    for (bool no_simd : {false, true}) {
       ProfileOptions options;
       options.max_training_windows = 200;
       options.train.max_iterations = 5;
-      options.dense_kernels = dense_kernels;
+      options.no_simd = no_simd;
       auto system =
           AdProm::Train(*program, app.db_factory, app.test_cases, options);
       EXPECT_TRUE(system.ok()) << app.name << ": "
                                << system.status().ToString();
       if (!system.ok()) continue;
-      auto& target = dense_kernels ? slot.dense : slot.sparse;
+      auto& target = no_simd ? slot.dense : slot.sparse;
       target = std::make_unique<AdProm>(std::move(system).value());
     }
     return slot;
@@ -86,43 +88,47 @@ TEST_P(SparseDifferentialTest, TrainingIsByteIdenticalAcrossKernels) {
   ASSERT_NE(app.dense, nullptr) << app.name;
   // Byte-equal serialization covers the HMM parameters (at full %.17g
   // precision), the threshold, the alphabet and the context set at once.
-  // (dense_kernels itself is runtime-only and never serialized.)
+  // (no_simd itself is runtime-only and never serialized.)
   EXPECT_EQ(app.sparse->profile().Serialize(),
             app.dense->profile().Serialize())
-      << app.name << ": sparse and dense training diverged";
+      << app.name << ": SIMD and scalar training diverged";
 }
 
 TEST_P(SparseDifferentialTest, VerdictsMatchAcrossKernelsForAnyPoolSize) {
   const TrainedPair& app = Trained(GetParam());
   ASSERT_NE(app.sparse, nullptr) << app.name;
   const ApplicationProfile& sparse_profile = app.sparse->profile();
-  ApplicationProfile dense_profile = sparse_profile;
-  dense_profile.options.dense_kernels = true;
+  ApplicationProfile scalar_profile = sparse_profile;
+  scalar_profile.options.no_simd = true;
   const DetectionEngine sparse_engine(&sparse_profile);
-  const DetectionEngine dense_engine(&dense_profile);
+  const DetectionEngine scalar_engine(&scalar_profile);
   const std::vector<runtime::Trace>& traces = app.sparse->training_traces();
   ASSERT_FALSE(traces.empty()) << app.name;
+  const auto expected =
+      testing::ReferenceMonitorTraces(sparse_engine, sparse_profile, traces);
 
   for (size_t workers = 0; workers <= 4; ++workers) {
     std::optional<util::ThreadPool> pool;
     if (workers > 0) pool.emplace(workers);
     util::ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
-    const auto sparse_verdicts = sparse_engine.MonitorTraces(traces, pool_ptr);
-    const auto dense_verdicts = dense_engine.MonitorTraces(traces, pool_ptr);
-    ASSERT_EQ(sparse_verdicts.size(), dense_verdicts.size());
-    for (size_t i = 0; i < traces.size(); ++i) {
-      const auto& s = sparse_verdicts[i];
-      const auto& d = dense_verdicts[i];
-      ASSERT_EQ(s.size(), d.size()) << app.name << " trace " << i;
-      for (size_t w = 0; w < s.size(); ++w) {
-        const std::string label = app.name + " trace " + std::to_string(i) +
-                                  " window " + std::to_string(w) +
-                                  " workers=" + std::to_string(workers);
-        EXPECT_EQ(s[w].flag, d[w].flag) << label;
-        EXPECT_EQ(s[w].score, d[w].score) << label;
-        EXPECT_EQ(s[w].window_start, d[w].window_start) << label;
-        EXPECT_EQ(s[w].source_tables, d[w].source_tables) << label;
-        EXPECT_EQ(s[w].detail, d[w].detail) << label;
+    for (const DetectionEngine* engine : {&sparse_engine, &scalar_engine}) {
+      const auto got = engine->MonitorTraces(traces, pool_ptr);
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t i = 0; i < traces.size(); ++i) {
+        const auto& s = got[i];
+        const auto& d = expected[i];
+        ASSERT_EQ(s.size(), d.size()) << app.name << " trace " << i;
+        for (size_t w = 0; w < s.size(); ++w) {
+          const std::string label =
+              app.name + " trace " + std::to_string(i) + " window " +
+              std::to_string(w) + " workers=" + std::to_string(workers) +
+              (engine == &scalar_engine ? " no_simd" : "");
+          EXPECT_EQ(s[w].flag, d[w].flag) << label;
+          EXPECT_EQ(s[w].score, d[w].score) << label;
+          EXPECT_EQ(s[w].window_start, d[w].window_start) << label;
+          EXPECT_EQ(s[w].source_tables, d[w].source_tables) << label;
+          EXPECT_EQ(s[w].detail, d[w].detail) << label;
+        }
       }
     }
   }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "db/database.h"
+
 namespace adprom::db {
 namespace {
 
@@ -141,6 +145,53 @@ TEST(SqlParserTest, Errors) {
   EXPECT_FALSE(ParseSql("CREATE TABLE t (id BLOB)").ok());
   EXPECT_FALSE(ParseSql("SELECT * FROM t; garbage").ok());
   EXPECT_FALSE(ParseSql("").ok());
+}
+
+std::string Repeat(const std::string& piece, size_t count) {
+  std::string out;
+  for (size_t i = 0; i < count; ++i) out += piece;
+  return out;
+}
+
+/// `parens` parenthesis levels around, and `nots` NOTs before, one
+/// comparison in a WHERE clause: level parens + nots + 1.
+std::string NestedWhere(size_t parens, size_t nots) {
+  return "SELECT * FROM t WHERE " + Repeat("(", parens) + Repeat("NOT ", nots) +
+         "1 = 1" + Repeat(")", parens);
+}
+
+void ExpectNestingError(const std::string& sql) {
+  auto stmt = ParseSql(sql);
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_EQ(stmt.status().code(), util::StatusCode::kParseError);
+  const std::string message = stmt.status().ToString();
+  EXPECT_NE(message.find("nested deeper than 256 levels"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("near offset"), std::string::npos) << message;
+}
+
+TEST(SqlParserTest, DeepNestingFailsClosed) {
+  // Inputs that once overflowed the stack; an injected payload can carry
+  // either one into a program's query at run time.
+  ExpectNestingError(NestedWhere(30000, 0));
+  ExpectNestingError(NestedWhere(0, 100000));
+}
+
+TEST(SqlParserTest, NestingExactlyAtTheLimitParsesAndRuns) {
+  const size_t limit = kMaxSqlNestingDepth;
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
+  for (const auto& [parens, nots] :
+       {std::pair<size_t, size_t>{limit - 1, 0}, {0, limit - 1},
+        {limit / 2, limit - 1 - limit / 2}}) {
+    const std::string sql = NestedWhere(parens, nots);
+    EXPECT_TRUE(ParseSql(sql).ok()) << parens << " parens, " << nots
+                                    << " NOTs";
+    EXPECT_TRUE(db.Execute(sql).ok()) << parens << " parens, " << nots
+                                      << " NOTs";
+    ExpectNestingError(NestedWhere(parens + 1, nots));
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Differential tests for the batched scoring engine: for any batch width,
 // lane count, kernel flavour (SIMD vs forced-scalar) and window mix, the
-// exact tier's scores must be *bit-identical* to the scalar ForwardInto
-// path — not merely close. The triage tier must be a sound lower bound:
-// it may only certify windows whose exact score provably clears the
-// threshold, and must leave every other window to the exact tier.
+// exact tier's scores must be *bit-identical* to the dense scalar
+// ForwardInto reference — not merely close. The triage tier must be a
+// sound lower bound: it may only certify windows whose exact score
+// provably clears the threshold, and must leave every other window to the
+// exact tier.
 
 #include <gtest/gtest.h>
 
@@ -70,14 +71,14 @@ std::vector<SymbolSpan> Spans(const std::vector<ObservationSeq>& seqs) {
   return {seqs.begin(), seqs.end()};
 }
 
-/// Scalar reference scores, window by window.
-std::vector<double> ScalarScores(const SparseHmm& sparse,
+/// Dense scalar reference scores, window by window.
+std::vector<double> ScalarScores(const HmmModel& model,
                                  const std::vector<ObservationSeq>& seqs) {
   ForwardWorkspace ws;
   std::vector<double> out;
   out.reserve(seqs.size());
   for (const ObservationSeq& seq : seqs) {
-    auto score = PerSymbolLogLikelihood(sparse, seq, &ws);
+    auto score = PerSymbolLogLikelihood(model, seq, &ws);
     EXPECT_TRUE(score.ok());
     out.push_back(score.ok() ? *score : -1e9);
   }
@@ -97,7 +98,7 @@ TEST_P(BatchForwardTest, ExactTierIsBitIdenticalToScalarAtEveryWidth) {
   // (full chunks, partial tail chunks, sub-lane remainders).
   const auto seqs = RandomSeqs(11, len, m, rng);
   const auto spans = Spans(seqs);
-  const std::vector<double> reference = ScalarScores(sparse, seqs);
+  const std::vector<double> reference = ScalarScores(model, seqs);
 
   // Widths 1, 3 and 5 leave sub-lane remainders on every SIMD arch;
   // 32 (W) and 33 (W+1) cover the default width and one past it.
@@ -136,7 +137,7 @@ TEST_P(BatchForwardTest, TriageBoundNeverExceedsExactScore) {
   const size_t len = 1 + rng.UniformU64(20);
   const auto seqs = RandomSeqs(16, len, m, rng);
   const auto spans = Spans(seqs);
-  const std::vector<double> exact = ScalarScores(sparse, seqs);
+  const std::vector<double> exact = ScalarScores(model, seqs);
 
   // Run with a threshold low enough that every window certifies — the
   // max-path bound sits below the sum-over-paths exact score by up to
@@ -266,7 +267,7 @@ TEST(TriageTablesTest, UnderflowingTransitionLogsNeverInflateTheBound) {
       {0, 0, 0, 0, 0, 0},  // never touches it
   };
   const auto spans = Spans(seqs);
-  const std::vector<double> exact = ScalarScores(sparse, seqs);
+  const std::vector<double> exact = ScalarScores(model, seqs);
 
   BatchWorkspace ws;
   std::vector<double> got(seqs.size());

@@ -1,16 +1,18 @@
 // Property tests for the batched SIMD Baum-Welch E-step engine: on the
 // same corpus, BaumWelchTrain through BatchEStep must train models
-// *bit-identical* to the dense scalar reference — not merely close — for
-// every batch width, thread count, smoothing mode, xi kernel, and SIMD
-// dispatch. Bitwise equality is the contract that lets the Profile
-// Constructor make the batched engine the default without any behavioural
-// change (and lets forced-scalar CI prove the fallback).
+// *bit-identical* to the dense scalar reference (ReferenceBaumWelchTrain)
+// — not merely close — for every thread count, smoothing floor, xi
+// kernel, and SIMD dispatch, and the engine's expected counts must not
+// depend on its batch width. Bitwise equality is the contract that lets
+// the Profile Constructor train through the batched engine without any
+// behavioural change (and lets forced-scalar CI prove the fallback).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "hmm/baum_welch.h"
@@ -96,6 +98,51 @@ void ExpectModelsBitIdentical(const HmmModel& a, const HmmModel& b) {
   }
 }
 
+void ExpectAccumulatorsBitIdentical(const EStepAccumulators& a,
+                                    const EStepAccumulators& b) {
+  const size_t n = a.a_den.size();
+  const size_t m = a.b_num.cols();
+  ASSERT_EQ(n, b.a_den.size());
+  ASSERT_EQ(m, b.b_num.cols());
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t q = 0; q < n; ++q) {
+      EXPECT_BIT_EQ(a.a_num.At(s, q), b.a_num.At(s, q));
+    }
+    for (size_t o = 0; o < m; ++o) {
+      EXPECT_BIT_EQ(a.b_num.At(s, o), b.b_num.At(s, o));
+    }
+    EXPECT_BIT_EQ(a.a_den[s], b.a_den[s]);
+    EXPECT_BIT_EQ(a.b_den[s], b.b_den[s]);
+    EXPECT_BIT_EQ(a.pi_acc[s], b.pi_acc[s]);
+  }
+  EXPECT_BIT_EQ(a.total_ll, b.total_ll);
+  EXPECT_EQ(a.used, b.used);
+}
+
+/// One E-step over the whole corpus through `estep`, with runs of
+/// consecutive equal-length sequences capped at the engine width — the
+/// way BaumWelchTrain feeds a shard.
+EStepAccumulators RunEStep(const BatchEStep& estep, const HmmModel& model,
+                           const std::vector<ObservationSeq>& sequences,
+                           bool csr_xi) {
+  const SparseHmm sparse(model);
+  BatchTrainWorkspace ws;
+  EStepAccumulators acc;
+  acc.Reset(model.num_states(), model.num_symbols());
+  for (size_t i = 0; i < sequences.size();) {
+    size_t run = 1;
+    while (i + run < sequences.size() && run < estep.width() &&
+           sequences[i + run].size() == sequences[i].size()) {
+      ++run;
+    }
+    estep.AccumulateBlock(model, sparse, csr_xi,
+                          std::span<const ObservationSeq>(&sequences[i], run),
+                          &ws, &acc);
+    i += run;
+  }
+  return acc;
+}
+
 class BatchTrainTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BatchTrainTest, BitIdenticalAcrossWidthsThreadsAndSmoothing) {
@@ -105,76 +152,112 @@ TEST_P(BatchTrainTest, BitIdenticalAcrossWidthsThreadsAndSmoothing) {
   const HmmModel seed_model = RandomSparseModel(n, m, rng);
   const std::vector<ObservationSeq> sequences = MixedCorpus(40, m, rng);
 
-  for (const bool smooth_transitions : {false, true}) {
+  // Widths: the engine's expected counts for one E-step must not depend
+  // on the batch width or the kernel table; width 1 on the scalar kernels
+  // is the anchor.
+  const EStepAccumulators anchor =
+      RunEStep(BatchEStep(1, /*no_simd=*/true), seed_model, sequences,
+               /*csr_xi=*/false);
+  for (const size_t width : {1u, 3u, 16u, 17u}) {
+    for (const bool no_simd : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "width=" << width << " no_simd=" << no_simd);
+      ExpectAccumulatorsBitIdentical(
+          anchor, RunEStep(BatchEStep(width, no_simd), seed_model, sequences,
+                           /*csr_xi=*/false));
+    }
+  }
+
+  // Threads, SIMD dispatch and smoothing floor: whole training runs
+  // against the dense reference.
+  for (const double smoothing : {1e-9, 1e-3}) {
     TrainOptions reference_options;
     reference_options.max_iterations = 5;
     reference_options.tolerance = 0.0;
-    reference_options.smooth_transitions = smooth_transitions;
-    reference_options.dense_kernels = true;
+    reference_options.smoothing = smoothing;
     reference_options.num_threads = 1;
     HmmModel reference = seed_model;
     auto reference_stats =
-        BaumWelchTrain(&reference, sequences, reference_options);
+        ReferenceBaumWelchTrain(&reference, sequences, reference_options);
     ASSERT_TRUE(reference_stats.ok());
-    EXPECT_EQ(reference_stats->kernel, "dense");
+    EXPECT_EQ(reference_stats->simd_level, "scalar");
 
-    for (const size_t width : {1u, 3u, 16u, 17u}) {
-      for (const int threads : {0, 1, 4}) {
-        for (const bool no_simd : {false, true}) {
-          TrainOptions options = reference_options;
-          options.dense_kernels = false;
-          options.batch_width = width;
-          options.no_simd = no_simd;
-          options.num_threads = threads;
-          HmmModel model = seed_model;
-          auto stats = BaumWelchTrain(&model, sequences, options);
-          ASSERT_TRUE(stats.ok());
-          SCOPED_TRACE(::testing::Message()
-                       << "width=" << width << " threads=" << threads
-                       << " no_simd=" << no_simd
-                       << " smooth=" << smooth_transitions);
-          ExpectModelsBitIdentical(reference, model);
-          EXPECT_EQ(stats->kernel, "batch");
-          if (no_simd) {
-            EXPECT_EQ(stats->simd_level, "scalar");
-          }
-          ASSERT_EQ(stats->log_likelihood_curve.size(),
-                    reference_stats->log_likelihood_curve.size());
-          for (size_t i = 0; i < stats->log_likelihood_curve.size(); ++i) {
-            EXPECT_BIT_EQ(stats->log_likelihood_curve[i],
-                          reference_stats->log_likelihood_curve[i]);
-          }
+    for (const int threads : {0, 1, 4}) {
+      for (const bool no_simd : {false, true}) {
+        TrainOptions options = reference_options;
+        options.no_simd = no_simd;
+        options.num_threads = threads;
+        HmmModel model = seed_model;
+        auto stats = BaumWelchTrain(&model, sequences, options);
+        ASSERT_TRUE(stats.ok());
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " no_simd=" << no_simd
+                     << " smoothing=" << smoothing);
+        ExpectModelsBitIdentical(reference, model);
+        if (no_simd) {
+          EXPECT_EQ(stats->simd_level, "scalar");
+        }
+        ASSERT_EQ(stats->log_likelihood_curve.size(),
+                  reference_stats->log_likelihood_curve.size());
+        for (size_t i = 0; i < stats->log_likelihood_curve.size(); ++i) {
+          EXPECT_BIT_EQ(stats->log_likelihood_curve[i],
+                        reference_stats->log_likelihood_curve[i]);
         }
       }
     }
   }
 }
 
+/// A model with `per_row` transitions out of each state, so its
+/// transition density is about per_row / n.
+HmmModel BandedModel(size_t n, size_t m, size_t per_row, util::Rng& rng) {
+  util::Matrix a(n, n);
+  util::Matrix b(n, m);
+  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t k = 0; k < per_row; ++k) {
+      a.At(s, (s + k) % n) = 0.05 + rng.UniformDouble();
+    }
+    for (size_t o = 0; o < m; ++o) b.At(s, o) = 0.1 + rng.UniformDouble();
+  }
+  a.NormalizeRows();
+  b.NormalizeRows();
+  HmmModel model(std::move(a), std::move(b), std::move(pi));
+  model.SmoothEmissions(1e-6);
+  EXPECT_TRUE(model.Validate().ok());
+  return model;
+}
+
 TEST_P(BatchTrainTest, BothXiKernelsMatchTheReference) {
   util::Rng rng(GetParam() + 4000);
-  const size_t n = 3 + rng.UniformU64(6);
   const size_t m = 3 + rng.UniformU64(4);
-  const HmmModel seed_model = RandomSparseModel(n, m, rng);
-  const std::vector<ObservationSeq> sequences = MixedCorpus(24, m, rng);
 
-  TrainOptions options;
-  options.max_iterations = 4;
-  options.tolerance = 0.0;
-  options.smooth_transitions = false;  // preserve the zero pattern
-  options.dense_kernels = true;
-  options.num_threads = 1;
-  HmmModel reference = seed_model;
-  ASSERT_TRUE(BaumWelchTrain(&reference, sequences, options).ok());
+  // The CSR and the dense xi rows give the same expected counts.
+  const HmmModel random_model =
+      RandomSparseModel(3 + rng.UniformU64(6), m, rng);
+  const std::vector<ObservationSeq> corpus = MixedCorpus(24, m, rng);
+  const BatchEStep estep;
+  ExpectAccumulatorsBitIdentical(
+      RunEStep(estep, random_model, corpus, /*csr_xi=*/true),
+      RunEStep(estep, random_model, corpus, /*csr_xi=*/false));
 
-  // cutoff 1.0 forces the CSR xi rows; cutoff 0.0 forces the dense
-  // (vectorized) xi rows — the forward/backward blocks are CSR either way.
-  for (const double cutoff : {1.0, 0.0}) {
-    TrainOptions batch_options = options;
-    batch_options.dense_kernels = false;
-    batch_options.sparse_density_cutoff = cutoff;
+  // BaumWelchTrain picks the xi rows by transition density: a 24-state
+  // model with two transitions per row (density ~0.08) trains through the
+  // CSR rows, one with twelve per row (~0.5) through the dense rows. Both
+  // must match the reference.
+  for (const size_t per_row : {2u, 12u}) {
+    const HmmModel seed_model = BandedModel(24, m, per_row, rng);
+    TrainOptions options;
+    options.max_iterations = 4;
+    options.tolerance = 0.0;
+    options.num_threads = 1;
+    HmmModel reference = seed_model;
+    ASSERT_TRUE(ReferenceBaumWelchTrain(&reference, corpus, options).ok());
     HmmModel model = seed_model;
-    ASSERT_TRUE(BaumWelchTrain(&model, sequences, batch_options).ok());
-    SCOPED_TRACE(::testing::Message() << "cutoff=" << cutoff);
+    ASSERT_TRUE(BaumWelchTrain(&model, corpus, options).ok());
+    SCOPED_TRACE(::testing::Message()
+                 << "density="
+                 << SparseHmm(seed_model).transition_density());
     ExpectModelsBitIdentical(reference, model);
   }
 }
@@ -183,7 +266,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchTrainTest,
                          ::testing::Values(11, 12, 13, 14));
 
 /// The stats plumbing the CLI reports: curve capacity reserved up front
-/// (no reallocation mid-loop) and the executed kernel/dispatch recorded.
+/// (no reallocation mid-loop) and the executed dispatch recorded.
 TEST(BatchTrainStatsTest, ReportsKernelAndReservesCurve) {
   util::Rng rng(77);
   const HmmModel seed_model = RandomSparseModel(6, 4, rng);
@@ -195,25 +278,14 @@ TEST(BatchTrainStatsTest, ReportsKernelAndReservesCurve) {
   HmmModel model = seed_model;
   auto stats = BaumWelchTrain(&model, sequences, options);
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->kernel, "batch");
-  EXPECT_FALSE(stats->simd_level.empty());
+  EXPECT_EQ(stats->simd_level, BatchEStep().kernel_name());
   EXPECT_EQ(stats->log_likelihood_curve.size(), 3u);
 
-  options.dense_kernels = true;
   HmmModel dense_model = seed_model;
-  auto dense_stats = BaumWelchTrain(&dense_model, sequences, options);
+  auto dense_stats = ReferenceBaumWelchTrain(&dense_model, sequences, options);
   ASSERT_TRUE(dense_stats.ok());
-  EXPECT_EQ(dense_stats->kernel, "dense");
   EXPECT_EQ(dense_stats->simd_level, "scalar");
-
-  options.dense_kernels = false;
-  options.batch_width = 0;  // legacy per-sequence kernels
-  options.sparse_density_cutoff = 1.0;
-  HmmModel csr_model = seed_model;
-  auto csr_stats = BaumWelchTrain(&csr_model, sequences, options);
-  ASSERT_TRUE(csr_stats.ok());
-  EXPECT_EQ(csr_stats->kernel, "csr");
-  ExpectModelsBitIdentical(dense_model, csr_model);
+  EXPECT_EQ(dense_stats->log_likelihood_curve.size(), 3u);
   ExpectModelsBitIdentical(dense_model, model);
 }
 

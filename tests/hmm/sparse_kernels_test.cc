@@ -1,15 +1,21 @@
-// Differential tests for the CSR HMM kernels: on the same model, the
-// sparse forward/backward/Viterbi/Baum-Welch paths must be *bit-identical*
-// to the dense ones — not merely close. Bitwise equality is the contract
-// that lets the detection engine, the profile constructor and the
-// streaming service switch kernels without any behavioural change.
+// Differential tests for the kernels that walk the CSR compilation
+// (SparseHmm): on the same model, the batched scoring engine's forward
+// pass, the batched E-step's forward/backward blocks, sparse Viterbi and
+// batched Baum-Welch must be *bit-identical* to the dense scalar
+// references — not merely close. Bitwise equality is the contract that
+// lets the detection engine, the profile constructor and the streaming
+// service run the batch engines without any behavioural change.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <vector>
 
+#include "hmm/batch_baum_welch.h"
+#include "hmm/batch_forward.h"
 #include "hmm/baum_welch.h"
 #include "hmm/inference.h"
 #include "hmm/sparse.h"
@@ -59,6 +65,19 @@ ObservationSeq RandomSeq(size_t len, size_t m, util::Rng& rng) {
     seq[t] = static_cast<int>(rng.UniformU64(m));
   }
   return seq;
+}
+
+/// One window's score through the batched scoring engine.
+double BatchScore(const SparseHmm& sparse, const ObservationSeq& seq) {
+  const BatchScorer scorer(&sparse, BatchOptions{});
+  BatchWorkspace ws;
+  const SymbolSpan span(seq);
+  double score = 0.0;
+  EXPECT_TRUE(scorer
+                  .ScoreBatch(std::span(&span, 1), /*triage_threshold=*/0.0,
+                              &ws, std::span(&score, 1))
+                  .ok());
+  return score;
 }
 
 TEST(CsrMatrixTest, FromDenseRecordsExactlyTheNonzeros) {
@@ -115,25 +134,14 @@ TEST_P(SparseKernelTest, ForwardIsBitIdentical) {
   EXPECT_EQ(sparse.num_states(), n);
   EXPECT_EQ(sparse.num_symbols(), m);
 
+  // One window through the batched scoring engine against the dense
+  // scalar forward pass.
   for (int trial = 0; trial < 8; ++trial) {
     const ObservationSeq seq = RandomSeq(1 + rng.UniformU64(30), m, rng);
-    ForwardWorkspace dense_ws, sparse_ws;
-    auto dense_ll = ForwardInto(model, seq, &dense_ws);
-    auto sparse_ll = ForwardInto(sparse, seq, &sparse_ws);
-    ASSERT_TRUE(dense_ll.ok());
-    ASSERT_TRUE(sparse_ll.ok());
-    EXPECT_BIT_EQ(*dense_ll, *sparse_ll);
-    for (size_t t = 0; t < seq.size(); ++t) {
-      EXPECT_BIT_EQ(dense_ws.scale[t], sparse_ws.scale[t]);
-      for (size_t s = 0; s < n; ++s) {
-        EXPECT_BIT_EQ(dense_ws.alpha.At(t, s), sparse_ws.alpha.At(t, s));
-      }
-    }
-
+    ForwardWorkspace dense_ws;
     auto dense_score = PerSymbolLogLikelihood(model, seq, &dense_ws);
-    auto sparse_score = PerSymbolLogLikelihood(sparse, seq, &sparse_ws);
-    ASSERT_TRUE(dense_score.ok() && sparse_score.ok());
-    EXPECT_BIT_EQ(*dense_score, *sparse_score);
+    ASSERT_TRUE(dense_score.ok());
+    EXPECT_BIT_EQ(BatchScore(sparse, seq), *dense_score);
   }
 }
 
@@ -144,16 +152,38 @@ TEST_P(SparseKernelTest, BackwardIsBitIdentical) {
   const HmmModel model = RandomSparseModel(n, m, rng);
   const SparseHmm sparse(model);
 
+  // The batched E-step's forward and backward blocks, read back from its
+  // workspace, against the dense ForwardInto/BackwardInto. Four windows
+  // fill whole SIMD blocks on every arch (1, 2 and 4 lanes), so the
+  // blocks hold one lane per window: cell (t, s) of window w sits at
+  // (t * n + s) * 4 + w.
+  constexpr size_t kWindows = 4;
+  const BatchEStep estep;
   for (int trial = 0; trial < 8; ++trial) {
-    const ObservationSeq seq = RandomSeq(2 + rng.UniformU64(20), m, rng);
-    ForwardWorkspace fw_ws;
-    ASSERT_TRUE(ForwardInto(model, seq, &fw_ws).ok());
-    BackwardWorkspace dense_ws, sparse_ws;
-    ASSERT_TRUE(BackwardInto(model, seq, fw_ws.scale, &dense_ws).ok());
-    ASSERT_TRUE(BackwardInto(sparse, seq, fw_ws.scale, &sparse_ws).ok());
-    for (size_t t = 0; t < seq.size(); ++t) {
-      for (size_t s = 0; s < n; ++s) {
-        EXPECT_BIT_EQ(dense_ws.beta.At(t, s), sparse_ws.beta.At(t, s));
+    const size_t len = 2 + rng.UniformU64(20);
+    std::vector<ObservationSeq> seqs;
+    for (size_t w = 0; w < kWindows; ++w) {
+      seqs.push_back(RandomSeq(len, m, rng));
+    }
+    BatchTrainWorkspace batch_ws;
+    EStepAccumulators acc;
+    acc.Reset(n, m);
+    estep.AccumulateBlock(model, sparse, /*csr_xi=*/false, seqs, &batch_ws,
+                          &acc);
+    for (size_t w = 0; w < kWindows; ++w) {
+      ForwardWorkspace fw_ws;
+      auto loglik = ForwardInto(model, seqs[w], &fw_ws);
+      ASSERT_TRUE(loglik.ok());
+      EXPECT_BIT_EQ(batch_ws.loglik[w], *loglik);
+      BackwardWorkspace bw_ws;
+      ASSERT_TRUE(BackwardInto(model, seqs[w], fw_ws.scale, &bw_ws).ok());
+      for (size_t t = 0; t < len; ++t) {
+        EXPECT_BIT_EQ(batch_ws.scale[t * kWindows + w], fw_ws.scale[t]);
+        for (size_t s = 0; s < n; ++s) {
+          const size_t cell = (t * n + s) * kWindows + w;
+          EXPECT_BIT_EQ(batch_ws.alpha[cell], fw_ws.alpha.At(t, s));
+          EXPECT_BIT_EQ(batch_ws.beta[cell], bw_ws.beta.At(t, s));
+        }
       }
     }
   }
@@ -186,39 +216,30 @@ TEST_P(SparseKernelTest, BaumWelchTrainsBitIdenticalModels) {
     sequences.push_back(RandomSeq(5 + rng.UniformU64(12), m, rng));
   }
 
-  for (bool smooth_transitions : {false, true}) {
-    HmmModel dense_model = seed_model;
-    HmmModel sparse_model = seed_model;
-    TrainOptions options;
-    options.max_iterations = 6;
-    options.smooth_transitions = smooth_transitions;
-    options.num_threads = 1;
-    options.dense_kernels = true;
-    ASSERT_TRUE(BaumWelchTrain(&dense_model, sequences, options).ok());
-    options.dense_kernels = false;
-    options.sparse_density_cutoff = 1.0;  // force the CSR E-step
-    options.batch_width = 0;  // pin the per-sequence kernels (the batched
-                              // engine has its own suite in batch_train_test)
-    options.num_threads = 4;  // kernel AND thread count must not matter
-    ASSERT_TRUE(BaumWelchTrain(&sparse_model, sequences, options).ok());
+  HmmModel reference_model = seed_model;
+  HmmModel batch_model = seed_model;
+  TrainOptions options;
+  options.max_iterations = 6;
+  options.num_threads = 1;
+  ASSERT_TRUE(
+      ReferenceBaumWelchTrain(&reference_model, sequences, options).ok());
+  options.num_threads = 4;  // engine AND thread count must not matter
+  ASSERT_TRUE(BaumWelchTrain(&batch_model, sequences, options).ok());
 
-    for (size_t s = 0; s < n; ++s) {
-      for (size_t t = 0; t < n; ++t) {
-        EXPECT_BIT_EQ(dense_model.a().At(s, t), sparse_model.a().At(s, t));
-      }
-      for (size_t o = 0; o < m; ++o) {
-        EXPECT_BIT_EQ(dense_model.b().At(s, o), sparse_model.b().At(s, o));
-      }
-      EXPECT_BIT_EQ(dense_model.pi()[s], sparse_model.pi()[s]);
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t t = 0; t < n; ++t) {
+      EXPECT_BIT_EQ(reference_model.a().At(s, t), batch_model.a().At(s, t));
     }
-    if (!smooth_transitions) {
-      // Structural smoothing preserves A's zero support through EM.
-      for (size_t s = 0; s < n; ++s) {
-        for (size_t t = 0; t < n; ++t) {
-          if (seed_model.a().At(s, t) == 0.0) {
-            EXPECT_EQ(sparse_model.a().At(s, t), 0.0);
-          }
-        }
+    for (size_t o = 0; o < m; ++o) {
+      EXPECT_BIT_EQ(reference_model.b().At(s, o), batch_model.b().At(s, o));
+    }
+    EXPECT_BIT_EQ(reference_model.pi()[s], batch_model.pi()[s]);
+  }
+  // Structural smoothing preserves A's zero support through EM.
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t t = 0; t < n; ++t) {
+      if (seed_model.a().At(s, t) == 0.0) {
+        EXPECT_EQ(batch_model.a().At(s, t), 0.0);
       }
     }
   }
@@ -231,11 +252,9 @@ TEST_P(SparseKernelTest, FullyDenseModelDegradesGracefully) {
   const SparseHmm sparse(model);
   EXPECT_EQ(sparse.transition_density(), 1.0);
   const ObservationSeq seq = RandomSeq(12, 3, rng);
-  ForwardWorkspace dense_ws, sparse_ws;
-  auto dense_ll = ForwardInto(model, seq, &dense_ws);
-  auto sparse_ll = ForwardInto(sparse, seq, &sparse_ws);
-  ASSERT_TRUE(dense_ll.ok() && sparse_ll.ok());
-  EXPECT_BIT_EQ(*dense_ll, *sparse_ll);
+  auto dense_score = PerSymbolLogLikelihood(model, seq);
+  ASSERT_TRUE(dense_score.ok());
+  EXPECT_BIT_EQ(BatchScore(sparse, seq), *dense_score);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseKernelTest,

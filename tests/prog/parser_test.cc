@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "prog/program.h"
+#include "tests/prog/nesting_programs.h"
 
 namespace adprom::prog {
 namespace {
@@ -185,6 +188,53 @@ fn other() {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   EXPECT_EQ(program->FindFunction("main")->line, 2);
   EXPECT_EQ(program->FindFunction("other")->line, 6);
+}
+
+void ExpectNestingError(const std::string& source, const std::string& label) {
+  auto program = ParseProgram(source);
+  ASSERT_FALSE(program.ok()) << label;
+  EXPECT_EQ(program.status().code(), util::StatusCode::kParseError) << label;
+  const std::string message = program.status().ToString();
+  EXPECT_NE(message.find("line "), std::string::npos) << message;
+  EXPECT_NE(message.find("nesting deeper than 512 levels"), std::string::npos)
+      << message;
+}
+
+TEST(ParserTest, DeepNestingFailsClosed) {
+  // Inputs that once overflowed the stack: each now stops at the depth
+  // limit with a ParseError naming the line.
+  ExpectNestingError(testing::NestedParens(5000), "5,000 parentheses");
+  ExpectNestingError(testing::NestedIfs(20000), "20,000 nested ifs");
+  ExpectNestingError(testing::ElseIfChain(20000), "20,000-branch else-if");
+  ExpectNestingError(testing::NotChain(20000), "20,000 prefix !");
+  auto parens = ParseProgram(testing::NestedParens(5000));
+  ASSERT_FALSE(parens.ok());
+  EXPECT_NE(parens.status().ToString().find("line 2:"), std::string::npos)
+      << parens.status().ToString();
+}
+
+TEST(ParserTest, NestingExactlyAtTheLimitParses) {
+  const size_t limit = kMaxNestingDepth;
+  struct Case {
+    const char* label;
+    std::string at_limit;
+    std::string one_past;
+  };
+  const Case cases[] = {
+      {"parentheses", testing::NestedParens(limit - 2),
+       testing::NestedParens(limit - 1)},
+      {"nested ifs", testing::NestedIfs((limit - 2) / 2),
+       testing::NestedIfs((limit - 2) / 2 + 1)},
+      {"else-if chain", testing::ElseIfChain(limit - 4),
+       testing::ElseIfChain(limit - 3)},
+      {"prefix !", testing::NotChain(limit - 2), testing::NotChain(limit - 1)},
+  };
+  for (const Case& c : cases) {
+    auto program = ParseProgram(c.at_limit);
+    EXPECT_TRUE(program.ok()) << c.label << ": "
+                              << program.status().ToString();
+    ExpectNestingError(c.one_past, c.label);
+  }
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // Concurrency stress for the streaming service, written to run under
 // ThreadSanitizer (the ADPROM_SANITIZE=thread CI job): many sessions fed
 // from many producer threads over a small pool, with overflow, eviction
-// churn, and close racing against blocked producers. The lossless test
-// still asserts full bit-identity with the batch engine; the churn tests
-// assert the invariants that survive any scheduling.
+// churn, and close racing against blocked producers. Every session is
+// bound to one shared ProfileHandle, so all sessions read one engine
+// concurrently. The lossless test still asserts full bit-identity with the
+// batch engine; the churn tests assert the invariants that survive any
+// scheduling.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "core/detection_engine.h"
 #include "hmm/hmm_model.h"
 #include "service/alert_sink.h"
+#include "service/profile_registry.h"
 #include "service/session_manager.h"
 #include "util/matrix.h"
 #include "util/thread_pool.h"
@@ -50,6 +54,15 @@ runtime::CallEvent Ev(int session, int i) {
   return event;
 }
 
+/// A binding to a handle that owns a copy of `profile`: every session
+/// bound to it scores through the handle's one engine.
+SessionBinding Bind(const core::ApplicationProfile& profile) {
+  SessionBinding binding;
+  binding.profile =
+      std::make_shared<const ProfileHandle>("tiny", "inline", 1, profile);
+  return binding;
+}
+
 runtime::Trace SessionTrace(int session, int count) {
   runtime::Trace trace;
   for (int i = 0; i < count; ++i) trace.push_back(Ev(session, i));
@@ -58,6 +71,7 @@ runtime::Trace SessionTrace(int session, int count) {
 
 TEST(ServiceStressTest, LosslessManySessionsManyProducers) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   const core::DetectionEngine engine(&profile);
   CollectingAlertSink sink;
   util::ThreadPool pool(4);
@@ -65,7 +79,7 @@ TEST(ServiceStressTest, LosslessManySessionsManyProducers) {
   options.queue_capacity = 16;  // small: forces real back-pressure
   options.overflow = SessionManagerOptions::OverflowPolicy::kBlock;
   options.batch_size = 8;
-  SessionManager manager(&profile, &sink, &pool, options);
+  SessionManager manager(&sink, &pool, options);
 
   constexpr int kProducers = 4;
   constexpr int kSessionsPerProducer = 8;
@@ -80,10 +94,10 @@ TEST(ServiceStressTest, LosslessManySessionsManyProducers) {
       for (int i = 0; i < kEventsPerSession; ++i) {
         for (int s = 0; s < kSessionsPerProducer; ++s) {
           const int session = p * kSessionsPerProducer + s;
-          ASSERT_TRUE(
-              manager
-                  .Submit("s" + std::to_string(session), Ev(session, i))
-                  .ok());
+          ASSERT_TRUE(manager
+                          .Submit("s" + std::to_string(session), binding,
+                                  Ev(session, i))
+                          .ok());
         }
       }
     });
@@ -117,13 +131,14 @@ TEST(ServiceStressTest, LosslessManySessionsManyProducers) {
 
 TEST(ServiceStressTest, OverflowAndEvictionChurn) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   CollectingAlertSink sink;
   util::ThreadPool pool(2);
   SessionManagerOptions options;
   options.queue_capacity = 4;
   options.overflow = SessionManagerOptions::OverflowPolicy::kDropOldest;
   options.batch_size = 2;
-  SessionManager manager(&profile, &sink, &pool, options);
+  SessionManager manager(&sink, &pool, options);
 
   constexpr int kProducers = 2;
   constexpr int kSessionsPerProducer = 8;
@@ -149,7 +164,7 @@ TEST(ServiceStressTest, OverflowAndEvictionChurn) {
           const int session = p * kSessionsPerProducer + s;
           // FailedPrecondition = the churn thread closed the session
           // between GetOrCreate and the enqueue; just move on.
-          (void)manager.Submit("s" + std::to_string(session),
+          (void)manager.Submit("s" + std::to_string(session), binding,
                                Ev(session, i));
         }
       }
@@ -173,6 +188,7 @@ TEST(ServiceStressTest, OverflowAndEvictionChurn) {
 
 TEST(ServiceStressTest, CloseAllWakesBlockedProducers) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   CollectingAlertSink sink;
   util::ThreadPool pool(1);
   std::promise<void> gate;
@@ -182,13 +198,13 @@ TEST(ServiceStressTest, CloseAllWakesBlockedProducers) {
   SessionManagerOptions options;
   options.queue_capacity = 1;
   options.overflow = SessionManagerOptions::OverflowPolicy::kBlock;
-  SessionManager manager(&profile, &sink, &pool, options);
+  SessionManager manager(&sink, &pool, options);
 
   // Fill the queue behind the parked worker, then block in Submit.
-  ASSERT_TRUE(manager.Submit("s", Ev(0, 0)).ok());
+  ASSERT_TRUE(manager.Submit("s", binding, Ev(0, 0)).ok());
   std::atomic<bool> rejected{false};
   std::thread producer([&] {
-    const util::Status status = manager.Submit("s", Ev(0, 1));
+    const util::Status status = manager.Submit("s", binding, Ev(0, 1));
     if (!status.ok()) rejected.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -214,6 +230,7 @@ TEST(ServiceStressTest, DestroyingPooledManagersWithDrainersInFlight) {
   // drainer that touches the manager after it reads as retired is a
   // reported race; here it would be a use-after-free.
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   const core::DetectionEngine engine(&profile);
   util::ThreadPool pool(4);
   SessionManagerOptions options;
@@ -224,10 +241,12 @@ TEST(ServiceStressTest, DestroyingPooledManagersWithDrainersInFlight) {
   for (int round = 0; round < kRounds; ++round) {
     CollectingAlertSink sink;
     {
-      SessionManager manager(&profile, &sink, &pool, options);
+      SessionManager manager(&sink, &pool, options);
       for (int i = 0; i < kEvents; ++i) {
         for (int s = 0; s < kSessions; ++s) {
-          ASSERT_TRUE(manager.Submit("s" + std::to_string(s), Ev(s, i)).ok());
+          ASSERT_TRUE(
+              manager.Submit("s" + std::to_string(s), binding, Ev(s, i))
+                  .ok());
         }
       }
     }

@@ -1,6 +1,7 @@
-// SessionManager behavior tests on a tiny hand-built profile: inline
-// (null-pool) scoring, the two overflow policies, close/flush semantics,
-// idle eviction, and the per-session stats handed to the AlertSink.
+// SessionManager behavior tests on a tiny hand-built profile, every
+// session bound to one shared ProfileHandle: inline (null-pool) scoring,
+// the two overflow policies, close/flush semantics, idle eviction, and the
+// per-session stats handed to the AlertSink.
 
 #include "service/session_manager.h"
 
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "core/detection_engine.h"
 #include "hmm/hmm_model.h"
 #include "service/alert_sink.h"
+#include "service/profile_registry.h"
 #include "util/matrix.h"
 #include "util/thread_pool.h"
 
@@ -60,6 +63,15 @@ runtime::Trace MakeTrace(int first, int count) {
   return trace;
 }
 
+/// A binding to a handle that owns a copy of `profile`: every session
+/// bound to it scores through the handle's one engine.
+SessionBinding Bind(const core::ApplicationProfile& profile) {
+  SessionBinding binding;
+  binding.profile =
+      std::make_shared<const ProfileHandle>("tiny", "inline", 1, profile);
+  return binding;
+}
+
 void ExpectSameDetections(const std::vector<Detection>& expected,
                           const std::vector<Detection>& actual,
                           const std::string& label) {
@@ -74,13 +86,14 @@ void ExpectSameDetections(const std::vector<Detection>& expected,
 
 TEST(SessionManagerTest, NullPoolScoresInlineAndMatchesBatch) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   const core::DetectionEngine engine(&profile);
   CollectingAlertSink sink;
-  SessionManager manager(&profile, &sink, /*pool=*/nullptr);
+  SessionManager manager(&sink, /*pool=*/nullptr);
 
   const runtime::Trace trace = MakeTrace(0, 10);
   for (const runtime::CallEvent& event : trace) {
-    ASSERT_TRUE(manager.Submit("s", event).ok());
+    ASSERT_TRUE(manager.Submit("s", binding, event).ok());
   }
   // Null pool = synchronous: verdicts are already in the sink.
   ExpectSameDetections(engine.MonitorTrace(trace), sink.DetectionsFor("s"),
@@ -95,6 +108,7 @@ TEST(SessionManagerTest, NullPoolScoresInlineAndMatchesBatch) {
 
 TEST(SessionManagerTest, DropOldestKeepsTailAndCountsDrops) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   const core::DetectionEngine engine(&profile);
   CollectingAlertSink sink;
   util::ThreadPool pool(1);
@@ -106,10 +120,10 @@ TEST(SessionManagerTest, DropOldestKeepsTailAndCountsDrops) {
   SessionManagerOptions options;
   options.queue_capacity = 4;
   options.overflow = SessionManagerOptions::OverflowPolicy::kDropOldest;
-  SessionManager manager(&profile, &sink, &pool, options);
+  SessionManager manager(&sink, &pool, options);
 
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(manager.Submit("s", Ev(i)).ok());
+    ASSERT_TRUE(manager.Submit("s", binding, Ev(i)).ok());
   }
   EXPECT_EQ(manager.total_dropped(), 6u);
 
@@ -127,6 +141,7 @@ TEST(SessionManagerTest, DropOldestKeepsTailAndCountsDrops) {
 
 TEST(SessionManagerTest, BlockPolicyStallsProducerUntilDrained) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   const core::DetectionEngine engine(&profile);
   CollectingAlertSink sink;
   util::ThreadPool pool(1);
@@ -137,14 +152,15 @@ TEST(SessionManagerTest, BlockPolicyStallsProducerUntilDrained) {
   SessionManagerOptions options;
   options.queue_capacity = 2;
   options.overflow = SessionManagerOptions::OverflowPolicy::kBlock;
-  SessionManager manager(&profile, &sink, &pool, options);
+  SessionManager manager(&sink, &pool, options);
 
-  ASSERT_TRUE(manager.Submit("s", Ev(0)).ok());
-  ASSERT_TRUE(manager.Submit("s", Ev(1)).ok());  // queue now full
+  ASSERT_TRUE(manager.Submit("s", binding, Ev(0)).ok());
+  // The queue is now full.
+  ASSERT_TRUE(manager.Submit("s", binding, Ev(1)).ok());
 
   std::atomic<bool> third_submitted{false};
   std::thread producer([&] {
-    ASSERT_TRUE(manager.Submit("s", Ev(2)).ok());
+    ASSERT_TRUE(manager.Submit("s", binding, Ev(2)).ok());
     third_submitted.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -163,13 +179,14 @@ TEST(SessionManagerTest, BlockPolicyStallsProducerUntilDrained) {
 
 TEST(SessionManagerTest, CloseFlushesShortSessionVerdict) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   const core::DetectionEngine engine(&profile);
   CollectingAlertSink sink;
-  SessionManager manager(&profile, &sink, nullptr);
+  SessionManager manager(&sink, nullptr);
 
   const runtime::Trace trace = MakeTrace(0, 2);  // shorter than window 3
   for (const runtime::CallEvent& event : trace) {
-    ASSERT_TRUE(manager.Submit("s", event).ok());
+    ASSERT_TRUE(manager.Submit("s", binding, event).ok());
   }
   EXPECT_TRUE(sink.DetectionsFor("s").empty()) << "window never completed";
   ASSERT_TRUE(manager.CloseSession("s").ok());
@@ -183,18 +200,19 @@ TEST(SessionManagerTest, CloseFlushesShortSessionVerdict) {
 
 TEST(SessionManagerTest, CloseIsTerminalButIdsAreReusable) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   CollectingAlertSink sink;
-  SessionManager manager(&profile, &sink, nullptr);
+  SessionManager manager(&sink, nullptr);
 
   EXPECT_FALSE(manager.CloseSession("ghost").ok());
 
-  ASSERT_TRUE(manager.Submit("s", Ev(0)).ok());
+  ASSERT_TRUE(manager.Submit("s", binding, Ev(0)).ok());
   ASSERT_TRUE(manager.CloseSession("s").ok());
   EXPECT_FALSE(manager.CloseSession("s").ok()) << "double close";
   EXPECT_EQ(manager.num_sessions(), 0u);
 
   // A new session may reuse the id; it starts from scratch.
-  ASSERT_TRUE(manager.Submit("s", Ev(0)).ok());
+  ASSERT_TRUE(manager.Submit("s", binding, Ev(0)).ok());
   EXPECT_EQ(manager.num_sessions(), 1u);
   ASSERT_TRUE(manager.CloseSession("s").ok());
   EXPECT_EQ(sink.StatsFor("s").events_accepted, 1u);
@@ -202,11 +220,12 @@ TEST(SessionManagerTest, CloseIsTerminalButIdsAreReusable) {
 
 TEST(SessionManagerTest, EvictIdleClosesOnlyDrainedIdleSessions) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   CollectingAlertSink sink;
-  SessionManager manager(&profile, &sink, nullptr);
+  SessionManager manager(&sink, nullptr);
 
-  ASSERT_TRUE(manager.Submit("a", Ev(0)).ok());
-  ASSERT_TRUE(manager.Submit("b", Ev(1)).ok());
+  ASSERT_TRUE(manager.Submit("a", binding, Ev(0)).ok());
+  ASSERT_TRUE(manager.Submit("b", binding, Ev(1)).ok());
   EXPECT_EQ(manager.num_sessions(), 2u);
 
   // Nothing is older than an hour: nobody goes.
@@ -223,14 +242,15 @@ TEST(SessionManagerTest, EvictIdleClosesOnlyDrainedIdleSessions) {
 
 TEST(SessionManagerTest, EvictIdleSparesSessionsWithQueuedWork) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   CollectingAlertSink sink;
   util::ThreadPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   pool.Submit([opened] { opened.wait(); });
 
-  SessionManager manager(&profile, &sink, &pool);
-  ASSERT_TRUE(manager.Submit("busy", Ev(0)).ok());
+  SessionManager manager(&sink, &pool);
+  ASSERT_TRUE(manager.Submit("busy", binding, Ev(0)).ok());
   // The event is still queued behind the parked worker: not evictable.
   EXPECT_EQ(manager.EvictIdle(std::chrono::seconds(0)), 0u);
   EXPECT_EQ(manager.num_sessions(), 1u);
@@ -243,6 +263,7 @@ TEST(SessionManagerTest, EvictIdleSparesSessionsWithQueuedWork) {
 
 TEST(SessionManagerTest, EvictIdleDatesABlockedSubmitFromItsQueuedEvents) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   CollectingAlertSink sink;
   util::ThreadPool pool(1);
   std::promise<void> gate;
@@ -252,12 +273,14 @@ TEST(SessionManagerTest, EvictIdleDatesABlockedSubmitFromItsQueuedEvents) {
   SessionManagerOptions options;
   options.queue_capacity = 1;
   options.overflow = SessionManagerOptions::OverflowPolicy::kBlock;
-  SessionManager manager(&profile, &sink, &pool, options);
-  ASSERT_TRUE(manager.Submit("s", Ev(0)).ok());  // queue now full
+  SessionManager manager(&sink, &pool, options);
+  // The queue is now full.
+  ASSERT_TRUE(manager.Submit("s", binding, Ev(0)).ok());
 
   // The producer waits far longer than the grace period below before its
   // event is queued; the session's activity dates from the queueing.
-  std::thread producer([&] { ASSERT_TRUE(manager.Submit("s", Ev(1)).ok()); });
+  std::thread producer(
+      [&] { ASSERT_TRUE(manager.Submit("s", binding, Ev(1)).ok()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   gate.set_value();
   producer.join();
@@ -269,17 +292,20 @@ TEST(SessionManagerTest, EvictIdleDatesABlockedSubmitFromItsQueuedEvents) {
 
 TEST(SessionManagerTest, CloseAllFlushesEverySession) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   const core::DetectionEngine engine(&profile);
   CollectingAlertSink sink;
   util::ThreadPool pool(2);
-  SessionManager manager(&profile, &sink, &pool);
+  SessionManager manager(&sink, &pool);
 
   constexpr int kSessions = 6;
   constexpr int kEvents = 25;
   for (int e = 0; e < kEvents; ++e) {
     for (int s = 0; s < kSessions; ++s) {
-      ASSERT_TRUE(
-          manager.Submit("s" + std::to_string(s), Ev(s * 100 + e)).ok());
+      ASSERT_TRUE(manager
+                      .Submit("s" + std::to_string(s), binding,
+                              Ev(s * 100 + e))
+                      .ok());
     }
   }
   manager.CloseAll();
@@ -314,6 +340,7 @@ class OrderSink : public AlertSink {
 
 TEST(SessionManagerTest, BatchSizeBoundsHowLongOneSessionHoldsAWorker) {
   const core::ApplicationProfile profile = MakeTinyProfile();
+  const SessionBinding binding = Bind(profile);
   OrderSink sink;
   util::ThreadPool pool(1);
   // Park the only worker so both sessions are queued before any scoring.
@@ -324,13 +351,13 @@ TEST(SessionManagerTest, BatchSizeBoundsHowLongOneSessionHoldsAWorker) {
   SessionManagerOptions options;
   options.batch_size = 4;
   options.queue_capacity = 64;
-  SessionManager manager(&profile, &sink, &pool, options);
+  SessionManager manager(&sink, &pool, options);
   // A chatty session with ten batches queued, then one full window of B.
   for (int i = 0; i < 10 * 4; ++i) {
-    ASSERT_TRUE(manager.Submit("a", Ev(i)).ok());
+    ASSERT_TRUE(manager.Submit("a", binding, Ev(i)).ok());
   }
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(manager.Submit("b", Ev(i)).ok());
+    ASSERT_TRUE(manager.Submit("b", binding, Ev(i)).ok());
   }
   gate.set_value();
   manager.Drain();

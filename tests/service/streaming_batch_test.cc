@@ -39,9 +39,10 @@ void ExpectSameDetections(const std::vector<Detection>& expected,
 
 /// Feeds `trace` through OnEvents in chunks of `chunk` events.
 std::vector<Detection> StreamChunked(const core::ApplicationProfile& profile,
+                                     const core::DetectionEngine& engine,
                                      const runtime::Trace& trace,
                                      size_t chunk) {
-  StreamingMonitor monitor(&profile);
+  StreamingMonitor monitor(&profile, &engine);
   std::vector<Detection> out;
   for (size_t base = 0; base < trace.size(); base += chunk) {
     const size_t take = std::min(chunk, trace.size() - base);
@@ -57,8 +58,9 @@ std::vector<Detection> StreamChunked(const core::ApplicationProfile& profile,
 }
 
 std::vector<Detection> StreamPerEvent(
-    const core::ApplicationProfile& profile, const runtime::Trace& trace) {
-  StreamingMonitor monitor(&profile);
+    const core::ApplicationProfile& profile,
+    const core::DetectionEngine& engine, const runtime::Trace& trace) {
+  StreamingMonitor monitor(&profile, &engine);
   std::vector<Detection> out;
   for (const runtime::CallEvent& event : trace) {
     std::optional<Detection> verdict = monitor.OnEvent(event);
@@ -90,17 +92,18 @@ class StreamingBatchTest : public ::testing::Test {
 
 TEST_F(StreamingBatchTest, AnyChunkingMatchesPerEventStreaming) {
   const core::ApplicationProfile& profile = Trained().profile();
+  const core::DetectionEngine engine(&profile);
   const std::vector<runtime::Trace>& traces = Trained().training_traces();
   ASSERT_FALSE(traces.empty());
   for (size_t i = 0; i < traces.size(); ++i) {
     const std::vector<Detection> expected =
-        StreamPerEvent(profile, traces[i]);
+        StreamPerEvent(profile, engine, traces[i]);
     // 1 = degenerate micro-batch; 7 = smaller than a window; 64 = the
     // SessionManager default batch_size; huge = whole trace in one call.
     for (const size_t chunk : {size_t{1}, size_t{7}, size_t{64},
                                traces[i].size() + 1}) {
       ExpectSameDetections(expected,
-                           StreamChunked(profile, traces[i], chunk),
+                           StreamChunked(profile, engine, traces[i], chunk),
                            "trace " + std::to_string(i) + " chunk " +
                                std::to_string(chunk));
     }
@@ -113,7 +116,7 @@ TEST_F(StreamingBatchTest, ChunkedStreamingMatchesBatchMonitorTrace) {
   const std::vector<runtime::Trace>& traces = Trained().training_traces();
   for (size_t i = 0; i < traces.size(); ++i) {
     ExpectSameDetections(engine.MonitorTrace(traces[i]),
-                         StreamChunked(profile, traces[i], 64),
+                         StreamChunked(profile, engine, traces[i], 64),
                          "trace " + std::to_string(i));
   }
 }
@@ -121,12 +124,15 @@ TEST_F(StreamingBatchTest, ChunkedStreamingMatchesBatchMonitorTrace) {
 TEST_F(StreamingBatchTest, TriageStreamingKeepsFlagsIdentical) {
   core::ApplicationProfile profile = Trained().profile();
   profile.options.triage = true;
+  const core::DetectionEngine triage_engine(&profile);
   const core::ApplicationProfile& exact = Trained().profile();
+  const core::DetectionEngine exact_engine(&exact);
   const std::vector<runtime::Trace>& traces = Trained().training_traces();
   for (size_t i = 0; i < traces.size(); ++i) {
-    const std::vector<Detection> expected = StreamPerEvent(exact, traces[i]);
+    const std::vector<Detection> expected =
+        StreamPerEvent(exact, exact_engine, traces[i]);
     const std::vector<Detection> got =
-        StreamChunked(profile, traces[i], 64);
+        StreamChunked(profile, triage_engine, traces[i], 64);
     ASSERT_EQ(expected.size(), got.size()) << "trace " << i;
     for (size_t w = 0; w < expected.size(); ++w) {
       EXPECT_EQ(expected[w].flag, got[w].flag)

@@ -1,10 +1,12 @@
 // Satellite differential suite: for every corpus application (the
 // CA-dataset hospital/banking/supermarket clients, the SIR-style tools,
 // and the web portal), every recorded trace is fed event-by-event through
-// the streaming service and the verdicts must be bit-identical to
-// DetectionEngine::MonitorTraces — through the bare StreamingMonitor and
-// through a SessionManager multiplexing all traces as concurrent
-// sessions, for every worker-thread count.
+// the streaming service and the verdicts must be bit-identical to the
+// dense reference (every window scored alone by the scalar forward pass)
+// and to DetectionEngine::MonitorTraces — through the bare
+// StreamingMonitor and through a SessionManager multiplexing all traces
+// as concurrent sessions bound to one shared ProfileHandle, for every
+// worker-thread count.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +19,10 @@
 #include "core/adprom.h"
 #include "core/detection_engine.h"
 #include "service/alert_sink.h"
+#include "service/profile_registry.h"
 #include "service/session_manager.h"
 #include "service/streaming_monitor.h"
+#include "tests/core/reference_monitor.h"
 #include "util/thread_pool.h"
 
 namespace adprom::service {
@@ -42,8 +46,9 @@ void ExpectSameDetections(const std::vector<Detection>& expected,
 }
 
 std::vector<Detection> StreamTrace(const core::ApplicationProfile& profile,
+                                   const core::DetectionEngine& engine,
                                    const runtime::Trace& trace) {
-  StreamingMonitor monitor(&profile);
+  StreamingMonitor monitor(&profile, &engine);
   std::vector<Detection> out;
   for (const runtime::CallEvent& event : trace) {
     std::optional<Detection> verdict = monitor.OnEvent(event);
@@ -120,20 +125,28 @@ TEST_P(StreamingDifferentialTest, StreamingMonitorMatchesBatch) {
   const std::vector<runtime::Trace>& traces = app.system->training_traces();
   ASSERT_FALSE(traces.empty()) << app.name;
 
+  const auto reference =
+      core::testing::ReferenceMonitorTraces(engine, profile, traces);
   const auto batch = engine.MonitorTraces(traces);
   for (size_t i = 0; i < traces.size(); ++i) {
-    ExpectSameDetections(batch[i], StreamTrace(profile, traces[i]),
-                         app.name + " trace " + std::to_string(i));
+    const std::string label = app.name + " trace " + std::to_string(i);
+    ExpectSameDetections(reference[i], batch[i], label + " batch");
+    ExpectSameDetections(reference[i], StreamTrace(profile, engine, traces[i]),
+                         label);
   }
 }
 
 TEST_P(StreamingDifferentialTest, SessionManagerMatchesBatchForAnyPoolSize) {
   const TrainedApp& app = Trained(GetParam());
   ASSERT_NE(app.system, nullptr) << app.name << " failed to train";
-  const core::ApplicationProfile& profile = app.system->profile();
-  const core::DetectionEngine engine(&profile);
+  SessionBinding binding;
+  binding.profile = std::make_shared<const ProfileHandle>(
+      app.name, "inline", 1, app.system->profile());
+  const core::ApplicationProfile& profile = binding.profile->profile();
+  const core::DetectionEngine& engine = binding.profile->engine();
   const std::vector<runtime::Trace>& traces = app.system->training_traces();
-  const auto batch = engine.MonitorTraces(traces);
+  const auto batch =
+      core::testing::ReferenceMonitorTraces(engine, profile, traces);
 
   // Pool size 0 = the null-pool inline path; then 1..4 workers. Per
   // session, every size must produce the identical verdict stream.
@@ -141,8 +154,7 @@ TEST_P(StreamingDifferentialTest, SessionManagerMatchesBatchForAnyPoolSize) {
     std::optional<util::ThreadPool> pool;
     if (workers > 0) pool.emplace(workers);
     CollectingAlertSink sink;
-    SessionManager manager(&profile, &sink,
-                           pool.has_value() ? &*pool : nullptr);
+    SessionManager manager(&sink, pool.has_value() ? &*pool : nullptr);
 
     // Interleave the sessions round-robin so many are concurrently live.
     size_t remaining = 0;
@@ -150,8 +162,10 @@ TEST_P(StreamingDifferentialTest, SessionManagerMatchesBatchForAnyPoolSize) {
     for (size_t offset = 0; remaining > 0; ++offset) {
       for (size_t i = 0; i < traces.size(); ++i) {
         if (offset >= traces[i].size()) continue;
-        ASSERT_TRUE(
-            manager.Submit("t" + std::to_string(i), traces[i][offset]).ok());
+        ASSERT_TRUE(manager
+                        .Submit("t" + std::to_string(i), binding,
+                                traces[i][offset])
+                        .ok());
         --remaining;
       }
     }

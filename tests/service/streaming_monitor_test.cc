@@ -41,8 +41,9 @@ void ExpectSameDetections(const std::vector<Detection>& expected,
 /// Streams a trace event-by-event and returns every verdict (including the
 /// short-session verdict Finish may emit).
 std::vector<Detection> StreamTrace(const core::ApplicationProfile& profile,
+                                   const core::DetectionEngine& engine,
                                    const runtime::Trace& trace) {
-  StreamingMonitor monitor(&profile);
+  StreamingMonitor monitor(&profile, &engine);
   std::vector<Detection> out;
   for (const runtime::CallEvent& event : trace) {
     std::optional<Detection> verdict = monitor.OnEvent(event);
@@ -90,11 +91,12 @@ core::AdProm* StreamingMonitorTest::system_ = nullptr;
 
 TEST_F(StreamingMonitorTest, SilentWhileFirstWindowFills) {
   const core::ApplicationProfile& profile = system_->profile();
+  const core::DetectionEngine engine(&profile);
   const runtime::Trace trace = Collect({"list", "find", "5", "stats"});
   const size_t n = profile.options.window_length;
   ASSERT_GT(trace.size(), n);
 
-  StreamingMonitor monitor(&profile);
+  StreamingMonitor monitor(&profile, &engine);
   for (size_t i = 0; i + 1 < n; ++i) {
     EXPECT_FALSE(monitor.OnEvent(trace[i]).has_value())
         << "verdict before the first window was complete, event " << i;
@@ -111,7 +113,7 @@ TEST_F(StreamingMonitorTest, EveryTestCaseMatchesBatchBitForBit) {
   for (size_t i = 0; i < cases.size(); ++i) {
     const runtime::Trace trace = Collect(cases[i].inputs);
     ExpectSameDetections(engine.MonitorTrace(trace),
-                         StreamTrace(profile, trace),
+                         StreamTrace(profile, engine, trace),
                          "case " + std::to_string(i));
   }
 }
@@ -120,7 +122,7 @@ TEST_F(StreamingMonitorTest, InjectionRunMatchesBatchAndAlarms) {
   const core::ApplicationProfile& profile = system_->profile();
   const core::DetectionEngine engine(&profile);
   const runtime::Trace trace = Collect({"find", "1' OR '1'='1"});
-  const std::vector<Detection> streamed = StreamTrace(profile, trace);
+  const std::vector<Detection> streamed = StreamTrace(profile, engine, trace);
   ExpectSameDetections(engine.MonitorTrace(trace), streamed, "injection");
   bool leak = false;
   for (const Detection& d : streamed) {
@@ -140,7 +142,7 @@ TEST_F(StreamingMonitorTest, ShortSessionScoredAsOneWindowOnFinish) {
   ASSERT_GE(trace.size(), 4u);
   trace.resize(std::min(trace.size(), n - 1));  // strictly shorter than n
 
-  StreamingMonitor monitor(&profile);
+  StreamingMonitor monitor(&profile, &engine);
   for (const runtime::CallEvent& event : trace) {
     EXPECT_FALSE(monitor.OnEvent(event).has_value());
   }
@@ -153,20 +155,21 @@ TEST_F(StreamingMonitorTest, ShortSessionScoredAsOneWindowOnFinish) {
 
 TEST_F(StreamingMonitorTest, FinishIsIdempotentAndEmptyOnLongSessions) {
   const core::ApplicationProfile& profile = system_->profile();
+  const core::DetectionEngine engine(&profile);
 
-  StreamingMonitor empty(&profile);
+  StreamingMonitor empty(&profile, &engine);
   EXPECT_FALSE(empty.Finish().has_value());
   EXPECT_FALSE(empty.Finish().has_value());
 
   const runtime::Trace trace = Collect({"list", "stats", "find", "3"});
   ASSERT_GT(trace.size(), profile.options.window_length);
-  StreamingMonitor monitor(&profile);
+  StreamingMonitor monitor(&profile, &engine);
   for (const runtime::CallEvent& event : trace) (void)monitor.OnEvent(event);
   // Every window was already emitted per-event; nothing is pending.
   EXPECT_FALSE(monitor.Finish().has_value());
   EXPECT_FALSE(monitor.Finish().has_value());
 
-  StreamingMonitor short_session(&profile);
+  StreamingMonitor short_session(&profile, &engine);
   (void)short_session.OnEvent(trace[0]);
   EXPECT_TRUE(short_session.Finish().has_value());
   EXPECT_FALSE(short_session.Finish().has_value()) << "Finish re-emitted";
@@ -186,13 +189,14 @@ TEST_F(StreamingMonitorTest, LongStreamSurvivesManyCompactions) {
   ASSERT_GT(long_trace.size(), 8 * profile.options.window_length);
 
   ExpectSameDetections(engine.MonitorTrace(long_trace),
-                       StreamTrace(profile, long_trace), "long stream");
+                       StreamTrace(profile, engine, long_trace), "long stream");
 }
 
 TEST_F(StreamingMonitorTest, WindowStartsCountUpFromZero) {
   const core::ApplicationProfile& profile = system_->profile();
+  const core::DetectionEngine engine(&profile);
   const runtime::Trace trace = Collect({"list", "find", "2", "stats"});
-  const std::vector<Detection> streamed = StreamTrace(profile, trace);
+  const std::vector<Detection> streamed = StreamTrace(profile, engine, trace);
   ASSERT_FALSE(streamed.empty());
   for (size_t i = 0; i < streamed.size(); ++i) {
     EXPECT_EQ(streamed[i].window_start, i);

@@ -11,6 +11,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/profile.h"
 #include "hmm/hmm_model.h"
@@ -51,6 +54,29 @@ TEST(CliTest, UsageErrors) {
   EXPECT_FALSE(RunTool({"train", "x.mini"}).status.ok());
   EXPECT_FALSE(RunTool({"score", "--profile", "p"}).status.ok());
   EXPECT_FALSE(RunTool({"analyze", "/no/such/file.mini"}).status.ok());
+
+  // A misspelled flag, a number with trailing junk, and a word where a
+  // number belongs each fail with an error naming the flag, instead of
+  // training with a default.
+  const std::vector<std::string> train = {
+      "train",   Sample("app.mini"),  "--db",  Sample("seed.sql"),
+      "--cases", Sample("cases.txt"), "--out", TempPath("usage.profile")};
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      bad_flags = {{{"--thread", "4"}, "unknown flag: --thread"},
+                   {{"--window", "15abc"}, "--window must be a number"},
+                   {{"--seed", "banana"}, "--seed must be a number"},
+                   {{"--threads", "2x"}, "--threads must be a number"},
+                   {{"--all=1"}, "flag takes no value: --all"}};
+  for (const auto& [extra, message] : bad_flags) {
+    std::vector<std::string> args = train;
+    args.insert(args.end(), extra.begin(), extra.end());
+    const CliRun run = RunTool(args);
+    EXPECT_FALSE(run.status.ok()) << extra[0];
+    EXPECT_EQ(run.status.code(), util::StatusCode::kInvalidArgument)
+        << extra[0];
+    EXPECT_NE(run.status.ToString().find(message), std::string::npos)
+        << run.status.ToString();
+  }
 }
 
 TEST(CliTest, AnalyzeSample) {
@@ -152,6 +178,24 @@ TEST(CliTest, FullPipelineTrainTraceScoreMonitor) {
 
   std::remove(profile_path.c_str());
   std::remove(trace_path.c_str());
+}
+
+TEST(CliTest, MonitorSurvivesDeeplyNestedSqlInjection) {
+  const std::string profile_path = TempPath("nested_sql.profile");
+  ASSERT_TRUE(RunTool({"train", Sample("app.mini"), "--db",
+                       Sample("seed.sql"), "--cases", Sample("cases.txt"),
+                       "--out", profile_path})
+                  .status.ok());
+  // A tautology payload wrapped in 30,000 parentheses (60 KB) reaches the
+  // SQL parser through find_item's concatenated query. The run must end
+  // with a Status or a verdict, never a signal.
+  const std::string payload = "1' OR " + std::string(30000, '(') + "1 = 1" +
+                              std::string(30000, ')') + " OR 'a' = 'a";
+  const CliRun run =
+      RunTool({"monitor", Sample("app.mini"), "--db", Sample("seed.sql"),
+               "--profile", profile_path, "--input", "find," + payload});
+  EXPECT_TRUE(run.status.ok() || !run.status.message().empty());
+  std::remove(profile_path.c_str());
 }
 
 TEST(CliTest, TrainFlagsApply) {
@@ -569,43 +613,44 @@ TEST(CliInfoTest, UsageErrors) {
 }
 
 TEST(CliTest, DenseKernelsFlagReproducesDefaultTraining) {
-  const std::string sparse_path = TempPath("kernels_sparse.profile");
-  const std::string dense_path = TempPath("kernels_dense.profile");
-  const std::string trace_path = TempPath("kernels.trace");
+  const std::string first_path = TempPath("kernels_first.profile");
+  const std::string second_path = TempPath("kernels_second.profile");
+  const std::vector<std::string> train = {
+      "train",   Sample("app.mini"),  "--db", Sample("seed.sql"),
+      "--cases", Sample("cases.txt"), "--out"};
 
-  ASSERT_TRUE(RunTool({"train", Sample("app.mini"), "--db",
-                       Sample("seed.sql"), "--cases", Sample("cases.txt"),
-                       "--out", sparse_path})
-                  .status.ok());
-  ASSERT_TRUE(RunTool({"train", Sample("app.mini"), "--db",
-                       Sample("seed.sql"), "--cases", Sample("cases.txt"),
-                       "--out", dense_path, "--dense-kernels"})
-                  .status.ok());
-  // The ablation flag must not change the trained profile by a single
-  // byte — the CSR kernels are bit-identical to the dense ones.
-  auto sparse_text = ReadFileToString(sparse_path);
-  auto dense_text = ReadFileToString(dense_path);
-  ASSERT_TRUE(sparse_text.ok());
-  ASSERT_TRUE(dense_text.ok());
-  EXPECT_EQ(*sparse_text, *dense_text);
-
-  // Scoring a stored trace with either kernel prints the same report.
-  ASSERT_TRUE(RunTool({"trace", Sample("app.mini"), "--db",
-                       Sample("seed.sql"), "--input", "find,3", "--out",
-                       trace_path})
-                  .status.ok());
-  const CliRun sparse_score = RunTool(
-      {"score", "--profile", sparse_path, "--trace", trace_path});
-  const CliRun dense_score =
-      RunTool({"score", "--profile", sparse_path, "--trace", trace_path,
+  // The kernel switch is gone: the flag is rejected by name instead of
+  // silently swallowing the argument after it.
+  std::vector<std::string> with_flag = train;
+  with_flag.insert(with_flag.end(), {first_path, "--dense-kernels"});
+  const CliRun rejected = RunTool(with_flag);
+  EXPECT_FALSE(rejected.status.ok());
+  EXPECT_NE(rejected.status.ToString().find("unknown flag: --dense-kernels"),
+            std::string::npos)
+      << rejected.status.ToString();
+  const CliRun score_rejected =
+      RunTool({"score", "--profile", first_path, "--trace", "run.trace",
                "--dense-kernels"});
-  ASSERT_TRUE(sparse_score.status.ok()) << sparse_score.status.ToString();
-  ASSERT_TRUE(dense_score.status.ok()) << dense_score.status.ToString();
-  EXPECT_EQ(sparse_score.output, dense_score.output);
+  EXPECT_FALSE(score_rejected.status.ok());
 
-  std::remove(sparse_path.c_str());
-  std::remove(dense_path.c_str());
-  std::remove(trace_path.c_str());
+  // Training is deterministic: two default runs write the same bytes.
+  for (const std::string& path : {first_path, second_path}) {
+    std::vector<std::string> args = train;
+    args.push_back(path);
+    const CliRun run = RunTool(args);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_NE(run.output.find("training kernel: batch (simd "),
+              std::string::npos)
+        << run.output;
+  }
+  auto first_text = ReadFileToString(first_path);
+  auto second_text = ReadFileToString(second_path);
+  ASSERT_TRUE(first_text.ok());
+  ASSERT_TRUE(second_text.ok());
+  EXPECT_EQ(*first_text, *second_text);
+
+  std::remove(first_path.c_str());
+  std::remove(second_path.c_str());
 }
 
 int RunMain(std::vector<std::string> args, std::string* out_text,

@@ -1,12 +1,16 @@
 #include "tools/cli_lib.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/dataflow/lint.h"
 #include "analysis/summary_cache.h"
@@ -40,19 +44,28 @@ struct ParsedArgs {
   }
 };
 
-constexpr const char* kBoolFlags[] = {"--no-labels", "--signatures",
-                                      "--flow-insensitive", "--no-absint",
-                                      "--all", "--dense-kernels",
-                                      "--no-simd", "--triage",
-                                      "--witnesses", "--no-column-taint",
-                                      "--no-analysis-cache", "--stats",
-                                      "--metrics", "--tenants"};
+/// Flags that take no value.
+constexpr std::string_view kBoolFlags[] = {
+    "--no-labels",         "--signatures", "--flow-insensitive",
+    "--no-absint",         "--all",        "--no-simd",
+    "--triage",            "--witnesses",  "--no-column-taint",
+    "--no-analysis-cache", "--stats",      "--metrics",
+    "--tenants"};
 
-bool IsBoolFlag(const std::string& arg) {
-  for (const char* flag : kBoolFlags) {
-    if (arg == flag) return true;
-  }
-  return false;
+/// Every flag that takes a value, given as `--flag value` or
+/// `--flag=value`. A flag in neither table is rejected, so a misspelled
+/// flag never swallows the argument after it.
+constexpr std::string_view kValueFlags[] = {
+    "--db",           "--cases",          "--out",
+    "--window",       "--seed",           "--threads",
+    "--input",        "--profile",        "--trace",
+    "--events",       "--format",         "--shards",
+    "--queue",        "--policy",         "--profiles-dir",
+    "--dump-cfg",     "--dump-pctm",      "--analysis-cache",
+    "--dump-witness", "--monitored-sinks"};
+
+bool InTable(std::span<const std::string_view> table, std::string_view flag) {
+  return std::find(table.begin(), table.end(), flag) != table.end();
 }
 
 util::Result<ParsedArgs> ParseArgs(const std::vector<std::string>& args) {
@@ -64,20 +77,46 @@ util::Result<ParsedArgs> ParseArgs(const std::vector<std::string>& args) {
       continue;
     }
     const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {  // --flag=value
-      out.flags[arg.substr(0, eq)] = arg.substr(eq + 1);
+    const std::string name = arg.substr(0, eq);
+    if (InTable(kBoolFlags, name)) {
+      if (eq != std::string::npos) {
+        return util::Status::InvalidArgument("flag takes no value: " + name);
+      }
+      out.flags[name] = "1";
       continue;
     }
-    if (IsBoolFlag(arg)) {
-      out.flags[arg] = "1";
+    if (!InTable(kValueFlags, name)) {
+      return util::Status::InvalidArgument("unknown flag: " + name);
+    }
+    if (eq != std::string::npos) {  // --flag=value
+      out.flags[name] = arg.substr(eq + 1);
       continue;
     }
     if (i + 1 >= args.size()) {
       return util::Status::InvalidArgument("flag needs a value: " + arg);
     }
-    out.flags[arg] = args[++i];
+    out.flags[name] = args[++i];
   }
   return std::move(out);
+}
+
+/// Parses the integer value of `flag` (`fallback` when absent). Fails with
+/// InvalidArgument on anything but a whole decimal number >= min_value:
+/// trailing junk, an empty value, or one out of range.
+util::Result<size_t> ParseCountFlag(const ParsedArgs& args,
+                                    const std::string& flag, long min_value,
+                                    size_t fallback) {
+  if (!args.Has(flag)) return fallback;
+  const std::string value = args.Get(flag);
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno == ERANGE ||
+      parsed < min_value) {
+    return util::Status::InvalidArgument(
+        flag + " must be a number >= " + std::to_string(min_value));
+  }
+  return static_cast<size_t>(parsed);
 }
 
 util::Result<prog::Program> LoadProgram(const std::string& path) {
@@ -142,55 +181,29 @@ core::TestCase InputsFlag(const ParsedArgs& args) {
   return test_case;
 }
 
-/// Applies the batched-scoring-engine flags shared by every command that
-/// constructs a DetectionEngine: --batch-width N (0 = window-at-a-time),
-/// --no-simd (force the scalar kernels), --triage (quantized triage tier).
-util::Status ApplyBatchFlags(const ParsedArgs& args,
-                             core::ProfileOptions* options) {
-  if (args.Has("--batch-width")) {
-    const std::string& value = args.Get("--batch-width");
-    char* end = nullptr;
-    const long width = std::strtol(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || width < 0) {
-      return util::Status::InvalidArgument(
-          "--batch-width must be a number >= 0 (0 = unbatched)");
-    }
-    options->batch_width = static_cast<size_t>(width);
-  }
+/// Applies the scoring-engine flags shared by every command that
+/// constructs a DetectionEngine: --no-simd (force the scalar kernels) and
+/// --triage (quantized triage tier).
+void ApplyScoringFlags(const ParsedArgs& args, core::ProfileOptions* options) {
   if (args.Has("--no-simd")) options->no_simd = true;
   if (args.Has("--triage")) options->triage = true;
-  return util::Status::Ok();
 }
 
 util::Result<core::ProfileOptions> OptionsFromFlags(const ParsedArgs& args) {
   core::ProfileOptions options;
-  if (args.Has("--window")) {
-    const long window = std::strtol(args.Get("--window").c_str(), nullptr,
-                                    10);
-    if (window < 2) {
-      return util::Status::InvalidArgument("--window must be >= 2");
-    }
-    options.window_length = static_cast<size_t>(window);
-  }
+  ADPROM_ASSIGN_OR_RETURN(
+      options.window_length,
+      ParseCountFlag(args, "--window", 2, options.window_length));
   if (args.Has("--no-labels")) options.use_dd_labels = false;
   if (args.Has("--signatures")) options.use_query_signatures = true;
   if (args.Has("--flow-insensitive")) options.flow_insensitive_taint = true;
   if (args.Has("--no-absint")) options.absint_refinement = false;
-  if (args.Has("--dense-kernels")) options.dense_kernels = true;
-  ADPROM_RETURN_IF_ERROR(ApplyBatchFlags(args, &options));
-  if (args.Has("--seed")) {
-    options.seed = std::strtoull(args.Get("--seed").c_str(), nullptr, 10);
-  }
-  if (args.Has("--threads")) {
-    const std::string& value = args.Get("--threads");
-    char* end = nullptr;
-    const long threads = std::strtol(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || threads < 0) {
-      return util::Status::InvalidArgument(
-          "--threads must be a number >= 0 (0 = all hardware threads)");
-    }
-    options.train.num_threads = static_cast<int>(threads);
-  }
+  ApplyScoringFlags(args, &options);
+  ADPROM_ASSIGN_OR_RETURN(options.seed,
+                          ParseCountFlag(args, "--seed", 0, options.seed));
+  ADPROM_ASSIGN_OR_RETURN(const size_t threads,
+                          ParseCountFlag(args, "--threads", 0, 0));
+  options.train.num_threads = static_cast<int>(threads);
   return std::move(options);
 }
 
@@ -332,8 +345,7 @@ util::Status CmdTrain(const ParsedArgs& args, std::ostream& out) {
     return util::Status::InvalidArgument(
         "usage: adprom train <app.mini> [--db seed.sql] --cases cases.txt"
         " --out app.profile [--window N] [--no-labels] [--signatures]"
-        " [--no-absint] [--threads N] [--dense-kernels] [--batch-width N]"
-        " [--no-simd] [--stats]");
+        " [--no-absint] [--seed S] [--threads N] [--no-simd] [--stats]");
   }
   ADPROM_ASSIGN_OR_RETURN(prog::Program program,
                           LoadProgram(args.positional[1]));
@@ -353,8 +365,8 @@ util::Status CmdTrain(const ParsedArgs& args, std::ostream& out) {
       << system.profile().alphabet.size() << ", threshold "
       << system.profile().threshold << "\n";
   const hmm::TrainStats& stats = system.profile().train_stats;
-  out << "training kernel: " << stats.kernel << " (simd "
-      << stats.simd_level << "), " << stats.iterations << " iterations"
+  out << "training kernel: batch (simd " << stats.simd_level << "), "
+      << stats.iterations << " iterations"
       << (stats.converged ? ", converged"
                           : (stats.stopped_by_callback ? ", early-stopped"
                                                        : ""))
@@ -423,15 +435,14 @@ util::Status CmdScore(const ParsedArgs& args, std::ostream& out) {
   if (!args.Has("--profile") || !args.Has("--trace")) {
     return util::Status::InvalidArgument(
         "usage: adprom score --profile app.profile --trace run.trace"
-        " [--dense-kernels] [--batch-width N] [--no-simd] [--triage]");
+        " [--no-simd] [--triage]");
   }
   ADPROM_ASSIGN_OR_RETURN(std::string profile_text,
                           ReadFileToString(args.Get("--profile")));
   ADPROM_ASSIGN_OR_RETURN(core::ApplicationProfile profile,
                           core::ApplicationProfile::Deserialize(
                               profile_text));
-  profile.options.dense_kernels = args.Has("--dense-kernels");
-  ADPROM_RETURN_IF_ERROR(ApplyBatchFlags(args, &profile.options));
+  ApplyScoringFlags(args, &profile.options);
   ADPROM_ASSIGN_OR_RETURN(std::string trace_text,
                           ReadFileToString(args.Get("--trace")));
   ADPROM_ASSIGN_OR_RETURN(runtime::Trace trace,
@@ -444,8 +455,7 @@ util::Status CmdMonitor(const ParsedArgs& args, std::ostream& out) {
   if (args.positional.size() != 2 || !args.Has("--profile")) {
     return util::Status::InvalidArgument(
         "usage: adprom monitor <app.mini> [--db seed.sql]"
-        " --profile app.profile [--input a,b] [--dense-kernels]"
-        " [--batch-width N] [--no-simd] [--triage]");
+        " --profile app.profile [--input a,b] [--no-simd] [--triage]");
   }
   ADPROM_ASSIGN_OR_RETURN(prog::Program program,
                           LoadProgram(args.positional[1]));
@@ -455,8 +465,7 @@ util::Status CmdMonitor(const ParsedArgs& args, std::ostream& out) {
   ADPROM_ASSIGN_OR_RETURN(core::ApplicationProfile profile,
                           core::ApplicationProfile::Deserialize(
                               profile_text));
-  profile.options.dense_kernels = args.Has("--dense-kernels");
-  ADPROM_RETURN_IF_ERROR(ApplyBatchFlags(args, &profile.options));
+  ApplyScoringFlags(args, &profile.options);
   auto cfgs = prog::BuildAllCfgs(program);
   if (!cfgs.ok()) return cfgs.status();
   ADPROM_ASSIGN_OR_RETURN(
@@ -528,20 +537,6 @@ util::Result<FeedLine> ParseFeedLine(const std::string& line,
   return parsed;
 }
 
-util::Result<size_t> ParseCountFlag(const ParsedArgs& args,
-                                    const std::string& flag, long min_value,
-                                    size_t fallback) {
-  if (!args.Has(flag)) return fallback;
-  const std::string value = args.Get(flag);
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0' || parsed < min_value) {
-    return util::Status::InvalidArgument(
-        flag + " must be a number >= " + std::to_string(min_value));
-  }
-  return static_cast<size_t>(parsed);
-}
-
 void PrintFleetMetrics(const service::FleetMetrics& metrics,
                        double elapsed_sec, size_t served,
                        std::ostream& out) {
@@ -599,20 +594,13 @@ util::Status CmdServe(const ParsedArgs& args, std::ostream& out) {
         " [--trace f1,f2 | --events feed] [--format binary|text]"
         " [--shards N] [--threads N] [--queue N]"
         " [--policy block|drop-oldest] [--metrics] [--all]"
-        " [--dense-kernels] [--batch-width N] [--no-simd] [--triage]");
+        " [--no-simd] [--triage]");
   }
 
-  size_t threads = 1;
-  if (args.Has("--threads")) {
-    const std::string& value = args.Get("--threads");
-    char* end = nullptr;
-    const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || parsed < 0) {
-      return util::Status::InvalidArgument(
-          "--threads must be a number >= 0 (0 = all hardware threads)");
-    }
-    threads = util::ResolveThreadCount(static_cast<int>(parsed));
-  }
+  ADPROM_ASSIGN_OR_RETURN(const size_t requested_threads,
+                          ParseCountFlag(args, "--threads", 0, 1));
+  const size_t threads =
+      util::ResolveThreadCount(static_cast<int>(requested_threads));
   service::FleetOptions fleet_options;
   ADPROM_ASSIGN_OR_RETURN(fleet_options.num_shards,
                           ParseCountFlag(args, "--shards", 1, 1));
@@ -652,8 +640,7 @@ util::Status CmdServe(const ParsedArgs& args, std::ostream& out) {
     ADPROM_ASSIGN_OR_RETURN(core::ApplicationProfile profile,
                             core::ApplicationProfile::Deserialize(
                                 profile_text));
-    profile.options.dense_kernels = args.Has("--dense-kernels");
-    ADPROM_RETURN_IF_ERROR(ApplyBatchFlags(args, &profile.options));
+    ApplyScoringFlags(args, &profile.options);
     ADPROM_RETURN_IF_ERROR(registry.Install("default", std::move(profile),
                                             args.Get("--profile")));
   }
