@@ -1,10 +1,11 @@
 // Wall-time of the static analysis passes over the CA + SIR corpus: the
-// legacy flow-insensitive taint pass vs the flow-sensitive dataflow
-// framework (serial and pooled), reaching definitions, liveness, the
-// abstract interpreter (constants + intervals) with CFG refinement, and
-// the full `adprom lint` vetter. Also reports the labeled-sink counts of
-// the two taint passes — the delta is the spurious labels the strong
-// updates remove — and the edges/loops the refiner sharpens per app.
+// legacy flow-insensitive taint pass vs the IFDS engine (as the DDG
+// labeler, then with feasibility and witnesses), reaching definitions,
+// liveness, the abstract interpreter (constants + intervals) with CFG
+// refinement, and the full `adprom lint` vetter. Also reports the
+// labeled-sink counts of the two labelers — the delta is the spurious
+// labels the strong updates remove — and the edges/loops the refiner
+// sharpens per app.
 //
 // All pass timings are the *minimum* over the repeat count (min-of-N);
 // `--smoke` shrinks the corpus and repeats so the binary finishes in
@@ -33,7 +34,6 @@
 #include "analysis/dataflow/lint.h"
 #include "analysis/dataflow/liveness.h"
 #include "analysis/dataflow/reaching_defs.h"
-#include "analysis/dataflow/taint_flow.h"
 #include "analysis/taint.h"
 #include "apps/corpus.h"
 #include "prog/program.h"
@@ -56,8 +56,6 @@ struct AppResult {
   size_t functions = 0;
   size_t call_sites = 0;
   double fi_taint_ms = 0.0;
-  double fs_taint_ms = 0.0;
-  double fs_taint_pooled_ms = 0.0;
   double reaching_defs_ms = 0.0;
   double liveness_ms = 0.0;
   double absint_ms = 0.0;
@@ -66,7 +64,7 @@ struct AppResult {
   double ifds_ms = 0.0;
   double witness_ms = 0.0;
   size_t fi_labeled_sinks = 0;
-  size_t fs_labeled_sinks = 0;
+  size_t ifds_labeled_sinks = 0;
   size_t pruned_edges = 0;
   size_t bounded_loops = 0;
   size_t lint_findings = 0;
@@ -97,17 +95,6 @@ AppResult BenchApp(const apps::CorpusApp& app, size_t repeats,
     auto taint = analysis::RunTaintAnalysis(program, config);
     ADPROM_CHECK(taint.ok());
     result.fi_labeled_sinks = taint->labeled_sinks.size();
-  });
-  result.fs_taint_ms = TimeMs(repeats, [&] {
-    auto taint =
-        analysis::dataflow::RunFlowSensitiveTaint(program, config, nullptr);
-    ADPROM_CHECK(taint.ok());
-    result.fs_labeled_sinks = taint->labeled_sinks.size();
-  });
-  result.fs_taint_pooled_ms = TimeMs(repeats, [&] {
-    auto taint =
-        analysis::dataflow::RunFlowSensitiveTaint(program, config, pool);
-    ADPROM_CHECK(taint.ok());
   });
   result.reaching_defs_ms = TimeMs(repeats, [&] {
     for (const prog::FunctionDef& fn : program.functions()) {
@@ -152,18 +139,22 @@ AppResult BenchApp(const apps::CorpusApp& app, size_t repeats,
     result.lint_findings = report->findings.size();
   });
 
-  // The IFDS engine twice: reachability only (the facts the flow-sensitive
-  // pass also computes, solved on the exploded supergraph), then the full
+  // The IFDS engine twice: the DDG labeler as AdProm::Train's Analyzer
+  // runs it (reachability only, on a fresh summary store), then the full
   // demand-driven tier — conditioned feasibility replays plus witness
   // reconstruction — whose delta is the price of the witnesses.
   analysis::dataflow::IfdsOptions ifds_options;
   ifds_options.config = config;
   ifds_options.pool = pool;
+  ifds_options.column_taint = false;
   ifds_options.feasibility_filter = false;
   ifds_options.witnesses = false;
   result.ifds_ms = TimeMs(repeats, [&] {
+    analysis::SummaryStore store;
+    ifds_options.summary_cache = &store;
     auto ifds = analysis::dataflow::RunIfdsTaint(program, ifds_options);
     ADPROM_CHECK(ifds.ok());
+    result.ifds_labeled_sinks = ifds->taint.labeled_sinks.size();
   });
   analysis::dataflow::IfdsOptions witness_options;
   witness_options.config = config;
@@ -387,8 +378,6 @@ void WriteJson(const std::vector<AppResult>& results,
     json << "    {\"name\": \"" << r.name << "\""
          << ", \"functions\": " << r.functions
          << ", \"fi_taint_ms\": " << Num(r.fi_taint_ms)
-         << ", \"fs_taint_ms\": " << Num(r.fs_taint_ms)
-         << ", \"fs_taint_pooled_ms\": " << Num(r.fs_taint_pooled_ms)
          << ", \"reaching_defs_ms\": " << Num(r.reaching_defs_ms)
          << ", \"liveness_ms\": " << Num(r.liveness_ms)
          << ", \"absint_ms\": " << Num(r.absint_ms)
@@ -397,7 +386,7 @@ void WriteJson(const std::vector<AppResult>& results,
          << ", \"ifds_ms\": " << Num(r.ifds_ms)
          << ", \"witness_ms\": " << Num(r.witness_ms)
          << ", \"fi_labeled_sinks\": " << r.fi_labeled_sinks
-         << ", \"fs_labeled_sinks\": " << r.fs_labeled_sinks
+         << ", \"ifds_labeled_sinks\": " << r.ifds_labeled_sinks
          << ", \"pruned_edges\": " << r.pruned_edges
          << ", \"bounded_loops\": " << r.bounded_loops
          << ", \"lint_findings\": " << r.lint_findings
@@ -453,20 +442,18 @@ void Run(bool smoke, const std::string& json_path) {
               };
 
   std::vector<AppResult> results;
-  util::TablePrinter table({"app", "fns", "FI taint", "FS taint",
-                            "FS pooled", "reach-defs", "liveness", "absint",
-                            "refine", "lint", "ifds", "witness",
-                            "FI/FS sinks", "pruned/bounded", "findings",
-                            "facts-pruned"});
+  util::TablePrinter table({"app", "fns", "FI taint", "reach-defs",
+                            "liveness", "absint", "refine", "lint", "ifds",
+                            "witness", "FI/IFDS sinks", "pruned/bounded",
+                            "findings", "facts-pruned"});
   for (const apps::CorpusApp& app : corpus) {
     AppResult r = BenchApp(app, repeats, &pool);
     table.AddRow({r.name, std::to_string(r.functions), Num(r.fi_taint_ms),
-                  Num(r.fs_taint_ms), Num(r.fs_taint_pooled_ms),
                   Num(r.reaching_defs_ms), Num(r.liveness_ms),
                   Num(r.absint_ms), Num(r.refine_ms), Num(r.lint_ms),
                   Num(r.ifds_ms), Num(r.witness_ms),
                   std::to_string(r.fi_labeled_sinks) + "/" +
-                      std::to_string(r.fs_labeled_sinks),
+                      std::to_string(r.ifds_labeled_sinks),
                   std::to_string(r.pruned_edges) + "/" +
                       std::to_string(r.bounded_loops),
                   std::to_string(r.lint_findings),

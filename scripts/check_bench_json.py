@@ -185,12 +185,17 @@ def check_streaming(doc, path):
 def check_analysis(doc, path):
     apps = require(doc, path, "apps", list)
     check_runs(apps, path, "apps",
-               ["functions", "fi_taint_ms", "fs_taint_ms", "absint_ms",
-                "lint_ms", "ifds_ms", "witness_ms", "ifds_sink_facts",
+               ["functions", "fi_taint_ms", "absint_ms", "lint_ms",
+                "ifds_ms", "witness_ms", "fi_labeled_sinks",
+                "ifds_labeled_sinks", "ifds_sink_facts",
                 "ifds_pruned_facts", "ifds_witnesses"])
     for i, run in enumerate(apps):
-        # The IFDS fixpoint labels the same facts the flow-sensitive pass
-        # does; pruning can only discard some of them.
+        # Strong updates only ever remove flow-insensitive labels.
+        if run["ifds_labeled_sinks"] > run["fi_labeled_sinks"]:
+            fail(path, f"apps[{i}]: ifds_labeled_sinks "
+                       f"({run['ifds_labeled_sinks']}) exceeds "
+                       f"fi_labeled_sinks ({run['fi_labeled_sinks']})")
+        # Pruning can only discard some of the labeler's facts.
         if run["ifds_pruned_facts"] > run["ifds_sink_facts"]:
             fail(path, f"apps[{i}]: ifds_pruned_facts "
                        f"({run['ifds_pruned_facts']}) exceeds "

@@ -21,11 +21,17 @@ namespace adprom::analysis::dataflow {
 
 namespace {
 
-/// Same token space as the flow-sensitive engine: negative tokens are
-/// symbolic parameters (t == -1 - k), non-negative ones concrete source
-/// call sites. The IFDS engine tracks no concat tokens — the injection
-/// vetter keeps using the flow engine for those.
+/// Taint tokens are ints sharing one space with three ranges:
+///   t < 0            — symbolic parameter k of the function under
+///                      analysis (t == -1 - k); instantiated by callers.
+///   0 <= t < base    — a concrete source call site (the DDG edge target).
+///   t >= base        — a concat-build site (index t - base into the
+///                      registry); concrete, flows like a source token but
+///                      never becomes a fact, a birth or a witness.
+constexpr int kConcatBase = 1 << 30;
+
 bool IsParamToken(int t) { return t < 0; }
+bool IsConcatToken(int t) { return t >= kConcatBase; }
 int ParamToken(size_t k) { return -1 - static_cast<int>(k); }
 size_t ParamIndexOf(int t) { return static_cast<size_t>(-1 - t); }
 
@@ -91,10 +97,10 @@ struct Birth {
   std::string call;
 };
 
-/// Mirrors the flow-sensitive TaintClient's expression semantics on the
-/// extended Flow value. With a Recorder attached (the post-fixpoint
-/// observation pass) it also emits sink facts, births, summary edges and
-/// the diagnostic parameter map; transfer functions run it bare.
+/// Evaluates which tokens an expression carries, as the extended Flow
+/// value. With a Recorder attached (the post-fixpoint observation pass) it
+/// also emits sink facts, births, summary edges, append tokens reaching
+/// sinks and the diagnostic parameter map; transfer functions run it bare.
 class TokenEval {
  public:
   using Domain = std::map<std::string, std::set<int>>;
@@ -102,6 +108,8 @@ class TokenEval {
   struct Recorder {
     int node = -1;
     std::vector<SinkFact>* facts = nullptr;
+    /// sink site -> concat-build indices whose appended value reaches it.
+    std::map<int, std::set<int>>* concat_sinks = nullptr;
     std::map<int, std::vector<Birth>>* births = nullptr;
     std::map<std::string, std::map<std::string, std::set<int>>>* param_vars =
         nullptr;
@@ -162,6 +170,10 @@ class TokenEval {
         for (const auto& [k, sites] : summary.param_sinks) {
           if (k >= args.size()) continue;
           for (int t : args[k].tokens) {
+            if (IsConcatToken(t)) {
+              for (int site : sites) RecordConcat(rec, site, t);
+              continue;
+            }
             if (rec->summary_edges != nullptr) {
               *rec->summary_edges += sites.size();
             }
@@ -179,7 +191,7 @@ class TokenEval {
         for (size_t k = 0; k < args.size() && k < callee->params.size();
              ++k) {
           for (int t : args[k].tokens) {
-            if (!IsParamToken(t)) {
+            if (!IsParamToken(t) && !IsConcatToken(t)) {
               (*rec->param_vars)[call.name][callee->params[k]].insert(t);
             }
           }
@@ -195,6 +207,7 @@ class TokenEval {
           if (k < args.size()) MergeFlow(&ret, args[k]);
         } else {
           ret.tokens.insert(t);
+          if (IsConcatToken(t)) continue;  // carried along, never born
           ret.gens.insert(t);
           if (rec != nullptr) RecordBirth(rec, t, call.name);
         }
@@ -205,6 +218,10 @@ class TokenEval {
     if (options_.sanitizer_calls.contains(call.name)) return {};
     if (options_.config.sink_calls.contains(call.name) && rec != nullptr) {
       for (int t : merged.tokens) {
+        if (IsConcatToken(t)) {
+          RecordConcat(rec, call.call_site_id, t);
+          continue;
+        }
         if (IsParamToken(t) && rec->param_sinks != nullptr) {
           (*rec->param_sinks)[ParamIndexOf(t)].insert(call.call_site_id);
         }
@@ -222,6 +239,10 @@ class TokenEval {
     return merged;
   }
 
+  static void RecordConcat(Recorder* rec, int site, int token) {
+    (*rec->concat_sinks)[site].insert(token - kConcatBase);
+  }
+
   static void RecordBirth(Recorder* rec, int token, const std::string& call) {
     if (rec->births == nullptr) return;
     std::vector<Birth>& list = (*rec->births)[token];
@@ -237,15 +258,17 @@ class TokenEval {
   const std::map<std::string, size_t>& fn_index_;
 };
 
-/// The per-function reachability client: identical lattice and transfer
-/// as the flow-sensitive TaintClient (strong updates on assignment), with
-/// every observation deferred to the post-fixpoint pass.
+/// The per-function reachability client: each variable maps to the
+/// tokens it may carry, assignment is a strong update, and every
+/// observation is deferred to the post-fixpoint pass. A registered append
+/// statement adds its own concat token to a tainted value.
 class IfdsClient {
  public:
   using Domain = TokenEval::Domain;
 
-  IfdsClient(const TokenEval& eval, const prog::FunctionDef& fn)
-      : eval_(eval), fn_(fn) {}
+  IfdsClient(const TokenEval& eval, const prog::FunctionDef& fn,
+             const std::map<const prog::Stmt*, int>& concat_tokens)
+      : eval_(eval), fn_(fn), concat_tokens_(concat_tokens) {}
 
   Domain Boundary() const {
     Domain out;
@@ -269,6 +292,8 @@ class IfdsClient {
     if (value.tokens.empty()) {
       out.erase(node.def);
     } else {
+      auto it = concat_tokens_.find(node.stmt);
+      if (it != concat_tokens_.end()) value.tokens.insert(it->second);
       out[node.def] = std::move(value.tokens);
     }
     return out;
@@ -277,6 +302,7 @@ class IfdsClient {
  private:
   const TokenEval& eval_;
   const prog::FunctionDef& fn_;
+  const std::map<const prog::Stmt*, int>& concat_tokens_;
 };
 
 bool HasToken(const TokenEval::Domain& state, const std::string& var,
@@ -557,6 +583,34 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// True for `v = <expr>` where the RHS is a `+` expression reading `v`
+/// itself — the incremental strcat-style build-up of Fig. 2.
+bool IsSelfAppend(const prog::Stmt& s) {
+  if (s.kind != prog::StmtKind::kAssign) return false;
+  if (s.expr == nullptr || s.expr->kind != prog::ExprKind::kBinary ||
+      s.expr->bin_op != prog::BinOp::kAdd) {
+    return false;
+  }
+  std::vector<std::string> reads;
+  CollectVarReads(*s.expr, &reads);
+  return std::find(reads.begin(), reads.end(), s.target) != reads.end();
+}
+
+void RegisterConcatSites(const prog::FunctionDef& fn,
+                         const prog::StmtList& body,
+                         std::vector<ConcatBuildSite>* registry,
+                         std::map<const prog::Stmt*, int>* tokens) {
+  for (const auto& stmt : body) {
+    if (IsSelfAppend(*stmt)) {
+      (*tokens)[stmt.get()] =
+          kConcatBase + static_cast<int>(registry->size());
+      registry->push_back({fn.name, stmt->target, stmt->line});
+    }
+    RegisterConcatSites(fn, stmt->then_body, registry, tokens);
+    RegisterConcatSites(fn, stmt->else_body, registry, tokens);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The engine.
 // ---------------------------------------------------------------------------
@@ -574,6 +628,9 @@ class IfdsEngine {
     for (size_t i = 0; i < count; ++i) fn_index_[fns[i].name] = i;
     for (const prog::FunctionDef& fn : fns) {
       returns_top_[fn.name] = absint::AbsValue::Top();
+      if (options_.track_concat_builds) {
+        RegisterConcatSites(fn, fn.body, &concat_sites_, &concat_tokens_);
+      }
     }
 
     graphs_.reserve(count);
@@ -589,6 +646,7 @@ class IfdsEngine {
     solved_.resize(count);
     solved_valid_.assign(count, 0);
     facts_.assign(count, {});
+    concat_sinks_.assign(count, {});
     births_.assign(count, {});
     def_flows_.assign(count, {});
     var_tokens_.assign(count, {});
@@ -606,6 +664,15 @@ class IfdsEngine {
       for (size_t i = 0; i < count; ++i) {
         body_hash_[i] = HashFunctionBody(fns[i]);
       }
+      // Concat tokens are program-ordered global indices, so a function's
+      // key must cover its own: an append site added *elsewhere* shifts
+      // them even when this function's text is unchanged.
+      std::vector<Hasher> concat(count);
+      for (size_t i = 0; i < concat_sites_.size(); ++i) {
+        concat[fn_index_.at(concat_sites_[i].function)].U64(i);
+      }
+      concat_hash_.resize(count);
+      for (size_t i = 0; i < count; ++i) concat_hash_[i] = concat[i].digest();
       summary_hash_.assign(count, 0);
       Hasher fp;
       fp.Str("ifds");
@@ -617,6 +684,7 @@ class IfdsEngine {
       chain_set(options_.config.sink_calls);
       chain_set(options_.sanitizer_calls);
       fp.Bool(options_.feasibility_filter);
+      fp.Bool(options_.track_concat_builds);
       // The schema catalog feeds column resolution; fold it into the
       // fingerprint so a schema edit conservatively invalidates.
       fp.U64(HashSchemaCatalog(&options_.schemas));
@@ -656,7 +724,7 @@ class IfdsEngine {
 
   void SolveFunction(size_t index) {
     const prog::FunctionDef& fn = program_.functions()[index];
-    IfdsClient client(eval_, fn);
+    IfdsClient client(eval_, fn, concat_tokens_);
     solved_[index] = Solve(graphs_[index], Direction::kForward, &client);
     solved_valid_[index] = 1;
     PostPass(index);
@@ -670,15 +738,17 @@ class IfdsEngine {
   void EnsureSolved(size_t index) {
     if (solved_valid_[index]) return;
     solved_valid_[index] = 1;
-    IfdsClient client(eval_, program_.functions()[index]);
+    IfdsClient client(eval_, program_.functions()[index], concat_tokens_);
     solved_[index] = Solve(graphs_[index], Direction::kForward, &client);
   }
 
   /// Recomputes every observation of `index` against the solved fixpoint:
-  /// sink facts, births, summary (return tokens + parameter obligations),
-  /// diagnostic maps. Deterministic — nodes are walked in id order.
+  /// sink facts, append tokens at sinks, births, summary (return tokens +
+  /// parameter obligations), diagnostic maps. Deterministic — nodes are
+  /// walked in id order.
   void PostPass(size_t index) {
     facts_[index].clear();
+    concat_sinks_[index].clear();
     births_[index].clear();
     def_flows_[index].clear();
     var_tokens_[index].clear();
@@ -688,6 +758,7 @@ class IfdsEngine {
 
     TokenEval::Recorder rec;
     rec.facts = &facts_[index];
+    rec.concat_sinks = &concat_sinks_[index];
     rec.births = &births_[index];
     rec.param_vars = &param_vars_[index];
     rec.param_sinks = &summary.param_sinks;
@@ -713,7 +784,9 @@ class IfdsEngine {
     for (const auto& states : solved_[index].states) {
       for (const auto& [var, tokens] : states.out) {
         for (int t : tokens) {
-          if (!IsParamToken(t)) var_tokens_[index][var].insert(t);
+          if (!IsParamToken(t) && !IsConcatToken(t)) {
+            var_tokens_[index][var].insert(t);
+          }
         }
       }
     }
@@ -839,6 +912,7 @@ class IfdsEngine {
                     const std::vector<std::vector<int>>& adjacency) const {
     Hasher h;
     h.U64(body_hash_[index]);
+    h.U64(concat_hash_[index]);
     for (int c : adjacency[index]) {
       ChainCallee(&h, static_cast<size_t>(c));
     }
@@ -854,6 +928,7 @@ class IfdsEngine {
       const auto vi = static_cast<size_t>(v);
       h.Str(program_.functions()[vi].name);
       h.U64(body_hash_[vi]);
+      h.U64(concat_hash_[vi]);
     }
     std::set<int> external;
     for (int v : ordered) {
@@ -910,6 +985,7 @@ class IfdsEngine {
       w.B(f.from_gen);
       w.B(f.locally_feasible);
     }
+    Put(w, concat_sinks_[index]);
     w.U64(births_[index].size());
     for (const auto& [token, list] : births_[index]) {
       w.I32(token);
@@ -956,6 +1032,7 @@ class IfdsEngine {
       f.locally_feasible = r.B();
       facts_[index].push_back(std::move(f));
     }
+    concat_sinks_[index] = Get<std::map<int, std::set<int>>>(r);
     const uint64_t num_births = r.U64();
     for (uint64_t i = 0; i < num_births && r.ok(); ++i) {
       const int token = r.I32();
@@ -1374,9 +1451,13 @@ class IfdsEngine {
                                                      tokens.end());
         }
       }
+      for (const auto& [site, builds] : concat_sinks_[f]) {
+        out.sink_concat_builds[site].insert(builds.begin(), builds.end());
+      }
       out.stats.summary_edges += summary_edges_[f];
       out.stats.demanded_solves += demanded_count_[f];
     }
+    out.concat_sites = concat_sites_;
     out.cache_stats = cache_stats_;
 
     // A concrete (sink, source) fact can manifest in several functions
@@ -1470,10 +1551,13 @@ class IfdsEngine {
   std::map<std::string, size_t> fn_index_;
   std::map<std::string, absint::AbsValue> returns_top_;
   TokenEval eval_;
+  std::vector<ConcatBuildSite> concat_sites_;
+  std::map<const prog::Stmt*, int> concat_tokens_;
   std::vector<FlowGraph> graphs_;
   std::vector<FnSummary> summaries_;
   std::vector<SolveResult<IfdsClient>> solved_;
   std::vector<std::vector<SinkFact>> facts_;
+  std::vector<std::map<int, std::set<int>>> concat_sinks_;
   std::vector<std::map<int, std::vector<Birth>>> births_;
   std::vector<std::map<int, Flow>> def_flows_;
   std::vector<std::map<std::string, std::set<int>>> var_tokens_;
@@ -1494,6 +1578,7 @@ class IfdsEngine {
   SummaryStore* cache_ = nullptr;
   uint64_t config_fp_ = 0;
   std::vector<uint64_t> body_hash_;
+  std::vector<uint64_t> concat_hash_;
   /// Callee-visible value hashes (summary + obligations), written by the
   /// worker that owns the function and read by callers in later levels
   /// after the ParallelFor barrier.

@@ -15,17 +15,19 @@
 
 namespace adprom::analysis::dataflow {
 
-/// Demand-driven leakage-witness engine.
+/// The flow-sensitive taint engine: it labels the Analyzer's DDG and runs
+/// both taint checks of `adprom lint`.
 ///
 /// Solves the flow-sensitive taint problem as reachability on the IFDS
 /// exploded supergraph: the facts are (variable, source-token) pairs per
-/// flow node, the per-call-site summary edges are the per-function
-/// (return-tokens, parameter-to-sink obligation) summaries instantiated
-/// at every call, and the solve is scheduled bottom-up over call-graph
-/// SCC levels exactly like the flow-sensitive engine — its labeled-sink
-/// facts are the same set, so IFDS facts are a subset of (and before
-/// filtering equal to) the flow-sensitive result, which is itself a
-/// subset of the flow-insensitive one.
+/// flow node, assignment is a strong update, the per-call-site summary
+/// edges are the per-function (return-tokens, parameter-to-sink
+/// obligation) summaries instantiated at every call, and the solve is
+/// scheduled bottom-up over call-graph SCC levels. With the feasibility
+/// filter off the labeled-sink facts are the plain flow-sensitive
+/// labeling, a subset of the flow-insensitive `RunTaintAnalysis` result
+/// (strong updates kill stale taint, and per-call-site instantiation
+/// never invents a flow the global union lacks).
 ///
 /// On top of plain reachability the engine adds the demand-driven tier
 /// the paper's labeling cannot express:
@@ -60,14 +62,20 @@ struct IfdsOptions {
   bool feasibility_filter = true;
   /// Reconstruct a witness path per (sink, source) fact.
   bool witnesses = true;
+  /// Register every `v = v + <tainted>` reassignment (the paper's Fig. 2
+  /// strcat-style incremental query construction) and report which sink
+  /// sites receive values built through such appends. Append tokens flow
+  /// like source tokens but never become labeled facts or witnesses.
+  bool track_concat_builds = false;
   /// Optional pool; results are bit-identical for any pool size.
   util::ThreadPool* pool = nullptr;
   /// Optional incremental store: per-function {summary, sink facts with
-  /// sealed feasibility verdicts, witness provenance inputs, feasible
-  /// obligations} keyed by the function's body hash chained with each
-  /// callee's caller-visible surface (name, parameter names, summary
-  /// value hash) and an options fingerprint (schemas included — a schema
-  /// edit conservatively invalidates). A hit skips the fixpoint, the
+  /// sealed feasibility verdicts, append tokens at sinks, witness
+  /// provenance inputs, feasible obligations} keyed by the function's body
+  /// hash and its append-site indices, chained with each callee's
+  /// caller-visible surface (name, parameter names, summary value hash)
+  /// and an options fingerprint (schemas included — a schema edit
+  /// conservatively invalidates). A hit skips the fixpoint, the
   /// conditioned feasibility solves and the post-pass; functions on a
   /// demanded witness path are lazily re-solved during reconstruction.
   /// Results are bit-identical with or without the cache
@@ -106,6 +114,14 @@ struct LeakWitness {
   std::string pruned_condition;
 };
 
+/// A registered incremental string-append site (`v = v + ...` carrying
+/// taint), when `track_concat_builds` is on.
+struct ConcatBuildSite {
+  std::string function;
+  std::string variable;
+  int line = 0;
+};
+
 struct IfdsStats {
   size_t functions = 0;
   /// Conditioned feasibility solves run (one per demanded fn x token).
@@ -119,8 +135,9 @@ struct IfdsStats {
 };
 
 struct IfdsResult {
-  /// Feasibility-filtered taint facts (labeled_sinks ⊆ the flow-sensitive
-  /// result; equal when the filter is off or nothing is infeasible).
+  /// Feasibility-filtered taint facts (labeled_sinks ⊆ the unfiltered
+  /// labeling; equal when the filter is off or nothing is infeasible).
+  /// `tainted_vars` is diagnostic and reports direct flows only.
   TaintResult taint;
   /// sink site -> source tokens discarded as provably infeasible.
   std::map<int, std::set<int>> pruned_sinks;
@@ -131,6 +148,14 @@ struct IfdsResult {
   /// One witness per (sink, source) fact — feasible and pruned ones —
   /// sorted by (sink, source). Empty when `witnesses` is off.
   std::vector<LeakWitness> witnesses;
+  /// All registered append sites, in program order (empty unless
+  /// `track_concat_builds`).
+  std::vector<ConcatBuildSite> concat_sites;
+  /// Sink call_site_id -> indices into `concat_sites` whose appended value
+  /// may reach it. A sink present both here and in `taint.labeled_sinks`
+  /// receives tainted data built by incremental concatenation: the App_b
+  /// injection pattern.
+  std::map<int, std::set<int>> sink_concat_builds;
   IfdsStats stats;
   /// Summary-cache counters for this run (all zero when no cache is set).
   PassCacheStats cache_stats;

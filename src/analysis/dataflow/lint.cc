@@ -11,7 +11,6 @@
 #include "analysis/dataflow/ifds.h"
 #include "analysis/dataflow/liveness.h"
 #include "analysis/dataflow/reaching_defs.h"
-#include "analysis/dataflow/taint_flow.h"
 #include "util/strings.h"
 
 namespace adprom::analysis::dataflow {
@@ -84,49 +83,28 @@ int AttachWitness(const IfdsResult& result, int sink_site,
 void CheckInjection(const prog::Program& program, const LintOptions& options,
                     const std::map<int, SiteInfo>& sites,
                     LintReport* report) {
-  TaintFlowOptions taint_options;
-  taint_options.config.source_calls = {"scan"};
-  taint_options.config.sink_calls = {"db_query"};
-  taint_options.sanitizer_calls = options.sanitizer_calls;
-  taint_options.track_concat_builds = true;
-  taint_options.pool = options.pool;
+  IfdsOptions ifds_options;
+  ifds_options.config.source_calls = {"scan"};
+  ifds_options.config.sink_calls = {"db_query"};
+  ifds_options.sanitizer_calls = options.sanitizer_calls;
+  ifds_options.column_taint = false;
+  ifds_options.feasibility_filter = false;
+  ifds_options.witnesses = options.witnesses;
+  ifds_options.track_concat_builds = true;
+  ifds_options.pool = options.pool;
   if (options.cache != nullptr) {
-    taint_options.summary_cache = &options.cache->taint;
+    ifds_options.summary_cache = &options.cache->taint;
   }
-  auto result = RunTaintFlowAnalysis(program, taint_options);
+  auto result = RunIfdsTaint(program, ifds_options);
   if (!result.ok()) return;  // RunLint validated the program already.
   AddStats(result->cache_stats, &report->stats.taint_cache);
-
-  // Witness reconstruction for the scan -> db_query flow; the finding
-  // set itself stays defined by the concat-build criterion below.
-  IfdsResult witness_result;
-  if (options.witnesses) {
-    IfdsOptions ifds_options;
-    ifds_options.config = taint_options.config;
-    ifds_options.sanitizer_calls = options.sanitizer_calls;
-    ifds_options.feasibility_filter = false;
-    ifds_options.column_taint = false;
-    ifds_options.pool = options.pool;
-    if (options.cache != nullptr) {
-      ifds_options.summary_cache = &options.cache->ifds;
-    }
-    auto witnesses = RunIfdsTaint(program, ifds_options);
-    if (witnesses.ok()) {
-      witness_result = std::move(*witnesses);
-      AddStats(witness_result.cache_stats, &report->stats.ifds_cache);
-    }
-  }
 
   for (const auto& [site, builds] : result->sink_concat_builds) {
     // Flag only queries that both carry unsanitized user input and were
     // assembled by incremental concatenation — the Fig. 2 pattern that
     // distinguishes App_b's find_client from parameterized-style
     // single-expression construction.
-    auto labeled = result->taint.labeled_sinks.find(site);
-    if (labeled == result->taint.labeled_sinks.end() ||
-        labeled->second.empty()) {
-      continue;
-    }
+    if (!result->taint.labeled_sinks.contains(site)) continue;
     const SiteInfo& info = sites.at(site);
     std::string built_at;
     for (int idx : builds) {
@@ -141,7 +119,7 @@ void CheckInjection(const prog::Program& program, const LintOptions& options,
          util::StrFormat("db_query receives a query concatenated from "
                          "unsanitized user input (built via %s)",
                          built_at.c_str()),
-         AttachWitness(witness_result, site, report)});
+         AttachWitness(*result, site, report)});
   }
 }
 
@@ -161,11 +139,11 @@ void CheckExfil(const prog::Program& program, const LintOptions& options,
   ifds_options.witnesses = options.witnesses;
   ifds_options.pool = options.pool;
   if (options.cache != nullptr) {
-    ifds_options.summary_cache = &options.cache->ifds;
+    ifds_options.summary_cache = &options.cache->taint;
   }
   auto result = RunIfdsTaint(program, ifds_options);
   if (!result.ok()) return;
-  AddStats(result->cache_stats, &report->stats.ifds_cache);
+  AddStats(result->cache_stats, &report->stats.taint_cache);
 
   // Only feasibility-surviving facts become findings: a flow whose every
   // realizing path is provably contradictory is not a leak.
@@ -337,96 +315,73 @@ util::Result<LintReport> RunLint(const prog::Program& program,
   auto t0 = std::chrono::steady_clock::now();
   for (const prog::FunctionDef& fn : program.functions()) {
     const FlowGraph graph = FlowGraph::Build(fn);
-    if (options.check_unreachable) {
-      for (int line : graph.unreachable_lines()) {
-        report.findings.push_back({"unreachable", fn.name, line,
-                                   "statement can never execute"});
-      }
+    for (int line : graph.unreachable_lines()) {
+      report.findings.push_back({"unreachable", fn.name, line,
+                                 "statement can never execute"});
     }
-    if (options.check_uninitialized) {
-      const ReachingDefsResult defs = ComputeReachingDefs(graph, fn.params);
-      for (const auto& use : defs.maybe_uninit) {
-        report.findings.push_back(
-            {"maybe-uninit", fn.name, use.line,
-             util::StrFormat("variable '%s' may be read before it is "
-                             "assigned",
-                             use.variable.c_str())});
-      }
+    const ReachingDefsResult defs = ComputeReachingDefs(graph, fn.params);
+    for (const auto& use : defs.maybe_uninit) {
+      report.findings.push_back(
+          {"maybe-uninit", fn.name, use.line,
+           util::StrFormat("variable '%s' may be read before it is assigned",
+                           use.variable.c_str())});
     }
-    if (options.check_dead_stores) {
-      const LivenessResult live = ComputeLiveness(graph);
-      for (const auto& store : live.dead_stores) {
-        if (store.rhs_has_call) continue;  // The statement still has effects.
-        report.findings.push_back(
-            {"dead-store", fn.name, store.line,
-             util::StrFormat("value stored to '%s' is never read",
-                             store.variable.c_str())});
-      }
+    const LivenessResult live = ComputeLiveness(graph);
+    for (const auto& store : live.dead_stores) {
+      if (store.rhs_has_call) continue;  // The statement still has effects.
+      report.findings.push_back(
+          {"dead-store", fn.name, store.line,
+           util::StrFormat("value stored to '%s' is never read",
+                           store.variable.c_str())});
     }
   }
   report.stats.structural_seconds = SecondsSince(t0);
 
   // Interval-powered checks from the abstract interpreter.
-  if (options.check_infeasible_branch || options.check_div_zero ||
-      options.check_const_index) {
-    t0 = std::chrono::steady_clock::now();
-    absint::AbsintOptions absint_options;
-    absint_options.pool = options.pool;
-    if (options.cache != nullptr) {
-      absint_options.summary_cache = &options.cache->absint;
-    }
-    auto absint_result =
-        absint::RunAbstractInterpretation(program, absint_options);
-    if (absint_result.ok()) {
-      AddStats(absint_result->cache_stats, &report.stats.absint_cache);
-      for (const auto& [fn_name, facts] : absint_result->functions) {
-        if (options.check_infeasible_branch) {
-          for (const absint::BranchFact& fact : facts.branches) {
-            // Literal conditions (`if (1)`, `while (1)`) are deliberate
-            // idioms, not bugs; the CFG refiner still exploits them.
-            if (fact.condition_is_literal ||
-                fact.verdict == absint::Tri::kUnknown) {
-              continue;
-            }
-            const bool always = fact.verdict == absint::Tri::kTrue;
-            const char* what = fact.is_loop
-                                   ? (always ? "loop condition is always "
-                                               "true (loop never exits)"
-                                             : "loop condition is always "
-                                               "false (body never runs)")
-                                   : (always ? "condition is always true"
-                                             : "condition is always false");
-            report.findings.push_back(
-                {"infeasible-branch", fn_name, fact.line, what});
-          }
+  t0 = std::chrono::steady_clock::now();
+  absint::AbsintOptions absint_options;
+  absint_options.pool = options.pool;
+  if (options.cache != nullptr) {
+    absint_options.summary_cache = &options.cache->absint;
+  }
+  auto absint_result =
+      absint::RunAbstractInterpretation(program, absint_options);
+  if (absint_result.ok()) {
+    AddStats(absint_result->cache_stats, &report.stats.absint_cache);
+    for (const auto& [fn_name, facts] : absint_result->functions) {
+      for (const absint::BranchFact& fact : facts.branches) {
+        // Literal conditions (`if (1)`, `while (1)`) are deliberate
+        // idioms, not bugs; the CFG refiner still exploits them.
+        if (fact.condition_is_literal ||
+            fact.verdict == absint::Tri::kUnknown) {
+          continue;
         }
-        for (const absint::Diagnostic& diag : facts.diagnostics) {
-          if (diag.category == "div-by-zero" && !options.check_div_zero) {
-            continue;
-          }
-          if (diag.category == "const-index-oob" &&
-              !options.check_const_index) {
-            continue;
-          }
-          report.findings.push_back(
-              {diag.category, diag.function, diag.line, diag.message});
-        }
+        const bool always = fact.verdict == absint::Tri::kTrue;
+        const char* what = fact.is_loop
+                               ? (always ? "loop condition is always "
+                                           "true (loop never exits)"
+                                         : "loop condition is always "
+                                           "false (body never runs)")
+                               : (always ? "condition is always true"
+                                         : "condition is always false");
+        report.findings.push_back(
+            {"infeasible-branch", fn_name, fact.line, what});
+      }
+      for (const absint::Diagnostic& diag : facts.diagnostics) {
+        report.findings.push_back(
+            {diag.category, diag.function, diag.line, diag.message});
       }
     }
-    report.stats.absint_seconds = SecondsSince(t0);
   }
+  report.stats.absint_seconds = SecondsSince(t0);
 
   // Whole-program taint checks.
-  if (options.check_injection) {
-    t0 = std::chrono::steady_clock::now();
-    CheckInjection(program, options, sites, &report);
-    report.stats.injection_seconds = SecondsSince(t0);
-  }
-  if (options.check_exfil) {
-    t0 = std::chrono::steady_clock::now();
-    CheckExfil(program, options, sites, &report);
-    report.stats.exfil_seconds = SecondsSince(t0);
-  }
+  t0 = std::chrono::steady_clock::now();
+  CheckInjection(program, options, sites, &report);
+  report.stats.injection_seconds = SecondsSince(t0);
+  t0 = std::chrono::steady_clock::now();
+  CheckExfil(program, options, sites, &report);
+  report.stats.exfil_seconds = SecondsSince(t0);
 
   // Fully deterministic order (the witness index breaks any remaining
   // tie), then drop findings identical in every user-visible field.

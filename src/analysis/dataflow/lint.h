@@ -17,6 +17,12 @@ namespace adprom::analysis::dataflow {
 /// Static vetting of a MiniApp program before deployment (`adprom lint`).
 /// Complements the run-time monitor: the App_b-style concatenated-query
 /// injection is caught here before the program ever reaches a database.
+/// Every check runs: the structural ones (unreachable statements,
+/// maybe-uninitialized reads, dead stores), the interval-powered ones
+/// (conditions provably always true/false, possible division by zero,
+/// constant indices out of a fixed-size collection's bounds; bare literal
+/// conditions such as `while (1)` count as intentional), and two IFDS
+/// taint checks (concatenated-query injection and unlabeled exfiltration).
 struct LintOptions {
   /// The source/sink sets the deployed monitor labels with; the exfil
   /// check reports taint reaching an output channel *outside* this sink
@@ -25,19 +31,6 @@ struct LintOptions {
   /// Calls treated as neutralizing user input for the injection check.
   std::set<std::string> sanitizer_calls = {"to_int", "to_real", "len",
                                            "is_null"};
-  bool check_injection = true;
-  bool check_uninitialized = true;
-  bool check_unreachable = true;
-  bool check_dead_stores = true;
-  bool check_exfil = true;
-  /// Interval-powered checks (abstract interpretation): conditions that
-  /// are provably always true/false, possible division by zero, and
-  /// constant indices out of a fixed-size collection's bounds. Branch
-  /// conditions that are bare literals (`while (1)`) are treated as
-  /// intentional and skipped.
-  bool check_infeasible_branch = true;
-  bool check_div_zero = true;
-  bool check_const_index = true;
   /// CREATE TABLE schemas for `SELECT *` column expansion in the exfil
   /// check (may be empty; `adprom lint --db <seed.sql>` fills it).
   db::SchemaCatalog schemas;
@@ -48,12 +41,12 @@ struct LintOptions {
   /// (`adprom lint --witnesses`).
   bool witnesses = false;
   util::ThreadPool* pool = nullptr;
-  /// Optional incremental cache: the absint, injection (taint-flow) and
-  /// exfil/witness (IFDS) passes store per-function summaries in the
-  /// matching stores, keyed so that a warm rerun only re-solves the
-  /// transitive dependents of changed functions. Findings and witnesses
-  /// are field-identical with or without it (property-tested). nullptr
-  /// runs every pass cold.
+  /// Optional incremental cache: the absint pass and both IFDS taint
+  /// checks store per-function summaries in the `absint` and `taint`
+  /// stores, keyed so that a warm rerun only re-solves the transitive
+  /// dependents of changed functions. Findings and witnesses are
+  /// field-identical with or without it (property-tested). nullptr runs
+  /// every pass cold.
   AnalysisCache* cache = nullptr;
 };
 
@@ -63,11 +56,10 @@ struct LintOptions {
 struct LintStats {
   double structural_seconds = 0.0;  // unreachable/uninit/dead-store checks
   double absint_seconds = 0.0;
-  double injection_seconds = 0.0;  // taint-flow pass (+ optional witnesses)
-  double exfil_seconds = 0.0;      // IFDS pass
+  double injection_seconds = 0.0;  // IFDS injection check
+  double exfil_seconds = 0.0;      // IFDS exfil check
   PassCacheStats absint_cache;
-  PassCacheStats taint_cache;
-  PassCacheStats ifds_cache;
+  PassCacheStats taint_cache;  // both IFDS taint checks
 };
 
 struct LintFinding {
@@ -103,7 +95,7 @@ struct LintReport {
   std::string FormatJson(const std::string& file_label) const;
 };
 
-/// Runs every enabled check. Requires a finalized program.
+/// Runs every check. Requires a finalized program.
 util::Result<LintReport> RunLint(const prog::Program& program,
                                  const LintOptions& options = {});
 

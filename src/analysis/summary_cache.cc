@@ -136,13 +136,12 @@ void SummaryStore::Clear() {
 void AnalysisCache::Clear() {
   taint.Clear();
   absint.Clear();
-  ifds.Clear();
   forecast.Clear();
   aggregation.entries().clear();
 }
 
 size_t AnalysisCache::TotalEntries() const {
-  return taint.size() + absint.size() + ifds.size() + forecast.size() +
+  return taint.size() + absint.size() + forecast.size() +
          aggregation.entries().size();
 }
 
@@ -159,7 +158,6 @@ util::Status SaveAnalysisCache(const AnalysisCache& cache,
   w.U32(kAnalysisCacheVersion);
   EncodeStore(cache.taint, &w);
   EncodeStore(cache.absint, &w);
-  EncodeStore(cache.ifds, &w);
   EncodeStore(cache.forecast, &w);
   w.U64(cache.aggregation.entries().size());
   for (const auto& [fn, entry] : cache.aggregation.entries()) {
@@ -208,7 +206,6 @@ util::Status LoadAnalysisCache(const std::string& dir, AnalysisCache* cache) {
   }
   DecodeStore(&r, &cache->taint);
   DecodeStore(&r, &cache->absint);
-  DecodeStore(&r, &cache->ifds);
   DecodeStore(&r, &cache->forecast);
   const uint64_t agg_entries = r.U64();
   for (uint64_t i = 0; i < agg_entries && r.ok(); ++i) {

@@ -31,7 +31,6 @@ struct PassCacheStats {
 struct AnalysisCacheStats {
   PassCacheStats taint;
   PassCacheStats absint;
-  PassCacheStats ifds;
   PassCacheStats forecast;
 };
 
@@ -243,8 +242,9 @@ Ctm DecodeCtm(BinaryReader* r);
 // ---- Per-pass summary store -----------------------------------------------
 
 /// One pass's cache: (config fingerprint, function name) → (Merkle key,
-/// encoded payload). The fingerprint shards entries by pass options (lint's
-/// injection and exfil passes reuse one store without colliding); the key is
+/// encoded payload). The fingerprint shards entries by pass options (the
+/// Analyzer's labeler and lint's injection and exfil checks run the IFDS
+/// engine on one store without colliding); the key is
 /// the function's content hash chained through its dependencies, so a lookup
 /// hits iff nothing the summary depends on changed. Lookup/Store are
 /// thread-safe (the SCC-level solvers run under ParallelFor); everything
@@ -285,9 +285,8 @@ class SummaryStore {
 /// directory; a single cache may serve `analyze` and `lint` runs with
 /// different configs side by side (fingerprint sharding).
 struct AnalysisCache {
-  SummaryStore taint;
+  SummaryStore taint;  // IFDS taint engine
   SummaryStore absint;
-  SummaryStore ifds;
   SummaryStore forecast;
   AggregationCache aggregation;
 
@@ -301,7 +300,7 @@ struct AnalysisCache {
 /// Bumped whenever any payload encoding or key derivation changes; a file
 /// written by any other version is rejected wholesale (fail-closed), never
 /// partially decoded.
-inline constexpr uint32_t kAnalysisCacheVersion = 1;
+inline constexpr uint32_t kAnalysisCacheVersion = 2;
 
 /// Name of the cache image inside an `--analysis-cache` directory.
 inline constexpr const char kAnalysisCacheFile[] = "analysis.cache";

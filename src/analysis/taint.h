@@ -19,7 +19,7 @@ struct TaintConfig {
 
   /// Default MiniApp bindings:
   ///   sources: db_query, db_fetch_row, db_getvalue, db_ntuples, row_get
-  ///   sinks:   print, print_err, write_file, fprint, send_net
+  ///   sinks:   print, print_err, write_file, fprint, send_net, send_file
   static TaintConfig Default();
 };
 

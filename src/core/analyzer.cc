@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "analysis/dataflow/taint_flow.h"
+#include "analysis/dataflow/ifds.h"
 #include "analysis/hashing.h"
 #include "analysis/incremental.h"
 #include "analysis/labeling.h"
@@ -54,10 +54,6 @@ std::set<std::pair<std::string, std::string>> AnalysisResult::ContextPairs()
 
 Analyzer::Analyzer(AnalyzerOptions options) : options_(std::move(options)) {}
 
-Analyzer::Analyzer(analysis::TaintConfig taint_config) {
-  options_.taint_config = std::move(taint_config);
-}
-
 analysis::AnalysisCache* Analyzer::cache() const {
   return options_.analysis_cache != nullptr ? options_.analysis_cache
                                             : &cache_;
@@ -102,11 +98,19 @@ util::Result<AnalysisResult> Analyzer::Analyze(
         out.taint,
         analysis::RunTaintAnalysis(program, options_.taint_config));
   } else {
+    // Columns are resolved per labeled site by ApplyTaintLabels below.
+    analysis::dataflow::IfdsOptions ifds_options;
+    ifds_options.config = options_.taint_config;
+    ifds_options.column_taint = false;
+    ifds_options.feasibility_filter = false;
+    ifds_options.witnesses = false;
+    ifds_options.pool = options_.pool;
+    if (incremental) ifds_options.summary_cache = &cache->taint;
     ADPROM_ASSIGN_OR_RETURN(
-        out.taint, analysis::dataflow::RunFlowSensitiveTaint(
-                       program, options_.taint_config, options_.pool,
-                       incremental ? &cache->taint : nullptr,
-                       &out.cache_stats.taint));
+        analysis::dataflow::IfdsResult labeled,
+        analysis::dataflow::RunIfdsTaint(program, ifds_options));
+    out.taint = std::move(labeled.taint);
+    out.cache_stats.taint = labeled.cache_stats;
   }
   out.taint_seconds = SecondsSince(t0);
 

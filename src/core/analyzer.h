@@ -47,8 +47,7 @@ struct AnalysisResult {
   /// whose transitive callee CTMs are unchanged on later calls).
   analysis::AggregationStats aggregation_stats;
   /// Per-pass summary-cache counters for this run (all zero when the
-  /// incremental cache is disabled). The `ifds` slot stays zero here —
-  /// the witness engine runs under `adprom lint`, not the Analyzer.
+  /// incremental cache is disabled).
   analysis::AnalysisCacheStats cache_stats;
 
   /// All (caller function, callee) pairs that appear as call sites in the
@@ -60,9 +59,10 @@ struct AnalysisResult {
 struct AnalyzerOptions {
   analysis::TaintConfig taint_config = analysis::TaintConfig::Default();
   /// Ablation switch: label the DDG with the original flow-insensitive
-  /// taint pass instead of the flow-sensitive dataflow framework. The
-  /// flow-sensitive default labels a subset of the same sinks (strong
-  /// updates kill stale taint), shrinking the DataLeak alphabet.
+  /// taint pass instead of the IFDS engine (`RunIfdsTaint` with the
+  /// feasibility filter and witnesses off). The flow-sensitive default
+  /// labels a subset of the same sinks (strong updates kill stale taint),
+  /// shrinking the DataLeak alphabet.
   bool flow_insensitive_taint = false;
   /// Abstract interpretation (constants + intervals) over each function:
   /// statically infeasible branch edges are pruned from the forecast and
@@ -79,8 +79,9 @@ struct AnalyzerOptions {
   bool column_taint = true;
   /// CREATE TABLE schemas for the column expansion (may be empty).
   db::SchemaCatalog schemas;
-  /// Optional pool for the flow-sensitive solver (call-graph SCCs of one
-  /// level run concurrently); results are identical for any pool.
+  /// Optional pool for the IFDS labeler and the abstract interpreter
+  /// (call-graph SCCs of one level run concurrently); results are
+  /// identical for any pool.
   util::ThreadPool* pool = nullptr;
   /// Master switch for the incremental per-function summary caches
   /// (taint, absint, forecast). Off reproduces the uncached pipeline —
@@ -102,7 +103,6 @@ class Analyzer {
  public:
   Analyzer() : Analyzer(AnalyzerOptions()) {}
   explicit Analyzer(AnalyzerOptions options);
-  explicit Analyzer(analysis::TaintConfig taint_config);
 
   /// Analyzes a finalized program. Repeated calls on the same analyzer
   /// reuse the per-function aggregation memo: functions whose own CTM and

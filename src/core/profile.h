@@ -58,8 +58,8 @@ struct ProfileOptions {
   /// of similar selectivity, not part of the baseline system.
   bool use_query_signatures = false;
   /// Ablation: label the DDG with the original flow-insensitive taint
-  /// pass instead of the flow-sensitive dataflow framework (which is the
-  /// default and labels a subset of the same output sites).
+  /// pass instead of the flow-sensitive IFDS engine (which is the default
+  /// and labels a subset of the same output sites).
   bool flow_insensitive_taint = false;
   /// Ablation: prune statically infeasible CFG edges and reweight counted
   /// loops with the abstract-interpretation engine before the forecast

@@ -1,5 +1,6 @@
 #include "db/sql_parser.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "db/sql_token.h"
@@ -252,9 +253,10 @@ class Parser {
 
   // --- Expressions ----------------------------------------------------
 
-  /// Fails once the nesting opened so far exceeds kMaxSqlNestingDepth.
-  util::Status CheckDepth() const {
-    if (depth_ <= kMaxSqlNestingDepth) return util::Status::Ok();
+  /// Fails once the nesting opened so far, plus `below` further levels,
+  /// exceeds kMaxSqlNestingDepth.
+  util::Status CheckDepth(size_t below = 0) const {
+    if (depth_ + below <= kMaxSqlNestingDepth) return util::Status::Ok();
     return Error(util::StrFormat("expression nested deeper than %zu levels",
                                  kMaxSqlNestingDepth));
   }
@@ -265,21 +267,36 @@ class Parser {
     return ParseOr();
   }
 
+  /// Charges one AND/OR link joining a left operand of `*height` levels
+  /// with the right operand just parsed (`height_`). The chains are built
+  /// in a loop into left-deep trees, so the recursion never sees their
+  /// depth: each link counts as one more nesting level here.
+  util::Status AddLink(size_t* height) const {
+    *height = 1 + std::max(*height, height_);
+    return CheckDepth(*height - 1);
+  }
+
   util::Result<std::unique_ptr<SqlExpr>> ParseOr() {
     ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> lhs, ParseAnd());
+    size_t height = height_;
     while (MatchKeyword("OR")) {
       ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> rhs, ParseAnd());
+      ADPROM_RETURN_IF_ERROR(AddLink(&height));
       lhs = SqlExpr::Logical(LogicalOp::kOr, std::move(lhs), std::move(rhs));
     }
+    height_ = height;
     return std::move(lhs);
   }
 
   util::Result<std::unique_ptr<SqlExpr>> ParseAnd() {
     ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> lhs, ParseUnary());
+    size_t height = height_;
     while (MatchKeyword("AND")) {
       ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> rhs, ParseUnary());
+      ADPROM_RETURN_IF_ERROR(AddLink(&height));
       lhs = SqlExpr::Logical(LogicalOp::kAnd, std::move(lhs), std::move(rhs));
     }
+    height_ = height;
     return std::move(lhs);
   }
 
@@ -288,12 +305,15 @@ class Parser {
       const util::NestingGuard guard(&depth_);
       ADPROM_RETURN_IF_ERROR(CheckDepth());
       ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> e, ParseUnary());
+      ++height_;
       return SqlExpr::Not(std::move(e));
     }
     return ParsePrimary();
   }
 
+  /// Every predicate (comparison, IS NULL, LIKE) is one node over leaves.
   util::Result<std::unique_ptr<SqlExpr>> ParsePrimary() {
+    height_ = 1;
     if (Match(SqlTokenType::kLParen)) {
       ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> e, ParseExpr());
       if (!Match(SqlTokenType::kRParen))
@@ -365,6 +385,9 @@ class Parser {
   size_t pos_ = 0;
   /// Expression nesting levels open on the current parse path.
   size_t depth_ = 0;
+  /// Height of the expression the last expression parse returned (1 for a
+  /// predicate over leaves); AND/OR links charge it against the limit.
+  size_t height_ = 0;
 };
 
 }  // namespace

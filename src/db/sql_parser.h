@@ -10,9 +10,10 @@
 namespace adprom::db {
 
 /// Deepest expression nesting ParseSql accepts: each parenthesized
-/// expression and each NOT is one level. SQL text reaches the parser from
-/// injected payloads at run time, so deeper input must fail with a Status
-/// instead of exhausting the stack.
+/// expression, each NOT and each link of an AND/OR chain (`a OR b OR c`
+/// builds a tree two levels deep) is one level. SQL text reaches the parser
+/// from injected payloads at run time, so deeper input must fail with a
+/// Status instead of exhausting the stack.
 inline constexpr size_t kMaxSqlNestingDepth = 256;
 
 /// Parses one SQL statement (optionally terminated by ';'). Supported

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -65,9 +66,10 @@ class Parser {
         Peek().text.c_str()));
   }
 
-  /// Fails once the nesting opened so far exceeds kMaxNestingDepth.
-  util::Status CheckDepth() const {
-    if (depth_ <= kMaxNestingDepth) return util::Status::Ok();
+  /// Fails once the nesting opened so far, plus `below` further levels,
+  /// exceeds kMaxNestingDepth.
+  util::Status CheckDepth(size_t below = 0) const {
+    if (depth_ + below <= kMaxNestingDepth) return util::Status::Ok();
     return Error(util::StrFormat("nesting deeper than %zu levels",
                                  kMaxNestingDepth));
   }
@@ -199,21 +201,36 @@ class Parser {
     return ParseOr();
   }
 
+  /// Charges one operator link joining a left operand of `*height` levels
+  /// with the right operand just parsed (`height_`). Operator chains are
+  /// built in a loop into left-deep trees, so the recursion never sees
+  /// their depth: each link counts as one more nesting level here.
+  util::Status AddLink(size_t* height) const {
+    *height = 1 + std::max(*height, height_);
+    return CheckDepth(*height - 1);
+  }
+
   util::Result<std::unique_ptr<Expr>> ParseOr() {
     ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseAnd());
+    size_t height = height_;
     while (MatchOperator("||")) {
       ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseAnd());
+      ADPROM_RETURN_IF_ERROR(AddLink(&height));
       lhs = Expr::Binary(BinOp::kOr, std::move(lhs), std::move(rhs));
     }
+    height_ = height;
     return std::move(lhs);
   }
 
   util::Result<std::unique_ptr<Expr>> ParseAnd() {
     ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseCmp());
+    size_t height = height_;
     while (MatchOperator("&&")) {
       ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseCmp());
+      ADPROM_RETURN_IF_ERROR(AddLink(&height));
       lhs = Expr::Binary(BinOp::kAnd, std::move(lhs), std::move(rhs));
     }
+    height_ = height;
     return std::move(lhs);
   }
 
@@ -225,7 +242,10 @@ class Parser {
     };
     for (const auto& [text, op] : kOps) {
       if (MatchOperator(text)) {
+        size_t height = height_;
         ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseAdd());
+        ADPROM_RETURN_IF_ERROR(AddLink(&height));
+        height_ = height;
         return Expr::Binary(op, std::move(lhs), std::move(rhs));
       }
     }
@@ -234,21 +254,26 @@ class Parser {
 
   util::Result<std::unique_ptr<Expr>> ParseAdd() {
     ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseMul());
+    size_t height = height_;
     for (;;) {
+      BinOp op;
       if (MatchOperator("+")) {
-        ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseMul());
-        lhs = Expr::Binary(BinOp::kAdd, std::move(lhs), std::move(rhs));
+        op = BinOp::kAdd;
       } else if (MatchOperator("-")) {
-        ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseMul());
-        lhs = Expr::Binary(BinOp::kSub, std::move(lhs), std::move(rhs));
+        op = BinOp::kSub;
       } else {
+        height_ = height;
         return std::move(lhs);
       }
+      ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseMul());
+      ADPROM_RETURN_IF_ERROR(AddLink(&height));
+      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
     }
   }
 
   util::Result<std::unique_ptr<Expr>> ParseMul() {
     ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseUnary());
+    size_t height = height_;
     for (;;) {
       BinOp op;
       if (MatchOperator("*")) {
@@ -258,9 +283,11 @@ class Parser {
       } else if (MatchOperator("%")) {
         op = BinOp::kMod;
       } else {
+        height_ = height;
         return std::move(lhs);
       }
       ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseUnary());
+      ADPROM_RETURN_IF_ERROR(AddLink(&height));
       lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
     }
   }
@@ -272,6 +299,7 @@ class Parser {
         const util::NestingGuard guard(&depth_);
         ADPROM_RETURN_IF_ERROR(CheckDepth());
         ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> e, ParseUnary());
+        ++height_;
         return Expr::Unary(op, std::move(e));
       }
     }
@@ -281,6 +309,7 @@ class Parser {
   util::Result<std::unique_ptr<Expr>> ParsePrimary() {
     const Token& t = Peek();
     const int line = t.line;
+    height_ = 0;
     switch (t.type) {
       case TokenType::kIntLiteral: {
         Advance();
@@ -304,13 +333,16 @@ class Parser {
         std::string name = Advance().text;
         if (MatchPunct("(")) {
           std::vector<std::unique_ptr<Expr>> args;
+          size_t height = 0;
           if (!PeekPunct(")")) {
             do {
               ADPROM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> arg, ParseExpr());
+              height = std::max(height, height_ + 1);
               args.push_back(std::move(arg));
             } while (MatchPunct(","));
           }
           ADPROM_RETURN_IF_ERROR(ExpectPunct(")"));
+          height_ = height;
           auto e = Expr::Call(std::move(name), std::move(args));
           e->line = line;
           return std::move(e);
@@ -337,6 +369,9 @@ class Parser {
   size_t pos_ = 0;
   /// Nesting levels open on the current parse path.
   size_t depth_ = 0;
+  /// Height of the expression the last expression parse returned (0 for a
+  /// leaf); operator links charge it against the limit.
+  size_t height_ = 0;
 };
 
 }  // namespace

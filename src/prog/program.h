@@ -62,10 +62,11 @@ class Program {
 
 /// Deepest syntactic nesting ParseProgram accepts. Each nested block, each
 /// `if` (an `else if` chain counts one per branch), each expression
-/// (so each parenthesis level) and each prefix `!` or `-` is one level.
-/// It bounds the recursion of the parser and of every pass that walks the
-/// tree, with room to spare for real programs: the bash-like corpus app's
-/// 170-branch dispatch chain nests about 175 deep.
+/// (so each parenthesis level), each prefix `!` or `-` and each link of a
+/// binary-operator chain (`a + b + c` builds a tree two levels deep) is one
+/// level. It bounds the recursion of the parser and of every pass that
+/// walks the tree, with room to spare for real programs: the bash-like
+/// corpus app's 170-branch dispatch chain nests about 175 deep.
 inline constexpr size_t kMaxNestingDepth = 512;
 
 /// Parses MiniApp source text into a finalized Program. Fails with

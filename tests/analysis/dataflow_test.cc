@@ -1,19 +1,20 @@
 // Tests of the dataflow framework: FlowGraph construction, the generic
-// worklist solver, reaching definitions, liveness, and the flow-sensitive
-// taint client.
+// worklist solver, reaching definitions, liveness, and flow-sensitive
+// taint through the IFDS engine (labeling and concat-build tracking).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/dataflow/flow_graph.h"
+#include "analysis/dataflow/ifds.h"
 #include "analysis/dataflow/liveness.h"
 #include "analysis/dataflow/reaching_defs.h"
 #include "analysis/dataflow/solver.h"
-#include "analysis/dataflow/taint_flow.h"
 #include "analysis/taint.h"
 #include "prog/program.h"
 #include "util/logging.h"
@@ -378,10 +379,29 @@ fn main() {
 
 // --------------------------------------------------- flow-sensitive taint
 
+/// Plain reachability: the labeling the Analyzer uses.
+IfdsOptions LabelerOptions() {
+  IfdsOptions options;
+  options.column_taint = false;
+  options.feasibility_filter = false;
+  options.witnesses = false;
+  return options;
+}
+
 util::Result<TaintResult> FlowTaint(const std::string& source) {
   auto program = prog::ParseProgram(source);
   if (!program.ok()) return program.status();
-  return RunFlowSensitiveTaint(*program, TaintConfig::Default());
+  ADPROM_ASSIGN_OR_RETURN(IfdsResult result,
+                          RunIfdsTaint(*program, LabelerOptions()));
+  return std::move(result.taint);
+}
+
+/// Lint's injection configuration: user input reaching db_query.
+IfdsOptions InjectionOptions() {
+  IfdsOptions options = LabelerOptions();
+  options.config.source_calls = {"scan"};
+  options.config.sink_calls = {"db_query"};
+  return options;
 }
 
 util::Result<TaintResult> FlowInsensitiveTaint(const std::string& source) {
@@ -550,11 +570,9 @@ fn main() {
   print(r);
 }
 )");
-  TaintFlowOptions options;
-  options.config.source_calls = {"scan"};
-  options.config.sink_calls = {"db_query"};
+  IfdsOptions options = InjectionOptions();
   options.sanitizer_calls = {"to_int"};
-  auto result = RunTaintFlowAnalysis(program, options);
+  auto result = RunIfdsTaint(program, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->taint.labeled_sinks.empty());
 }
@@ -570,11 +588,9 @@ fn main() {
   print(r);
 }
 )");
-  TaintFlowOptions options;
-  options.config.source_calls = {"scan"};
-  options.config.sink_calls = {"db_query"};
+  IfdsOptions options = InjectionOptions();
   options.track_concat_builds = true;
-  auto result = RunTaintFlowAnalysis(program, options);
+  auto result = RunIfdsTaint(program, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->taint.labeled_sinks.size(), 1u);
   ASSERT_EQ(result->sink_concat_builds.size(), 1u);
@@ -582,6 +598,48 @@ fn main() {
             result->taint.labeled_sinks.begin()->first);
   ASSERT_FALSE(result->concat_sites.empty());
   EXPECT_EQ(result->concat_sites[0].variable, "q");
+}
+
+TEST(TaintFlowTest, ConcatBuildsFlowThroughSummaries) {
+  // The append happens in build() and the query runs in run(): the append
+  // token rides build()'s return summary into main and run()'s parameter
+  // obligation down to the db_query, yet it never becomes a labeled
+  // source, a tainted-variable token or a witness.
+  prog::Program program = Parse(R"(
+fn build(needle) {
+  var q = "SELECT * FROM t WHERE name = '";
+  q = q + needle;
+  return q;
+}
+fn run(query) {
+  return db_query(query);
+}
+fn main() {
+  var needle = scan();
+  var r = run(build(needle));
+  print(r);
+}
+)");
+  IfdsOptions options = InjectionOptions();
+  options.track_concat_builds = true;
+  options.witnesses = true;
+  auto result = RunIfdsTaint(program, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->concat_sites.size(), 1u);
+  EXPECT_EQ(result->concat_sites[0].function, "build");
+  ASSERT_EQ(result->taint.labeled_sinks.size(), 1u);
+  const auto& [sink, sources] = *result->taint.labeled_sinks.begin();
+  ASSERT_EQ(sources.size(), 1u);
+  EXPECT_EQ(result->sink_concat_builds,
+            (std::map<int, std::set<int>>{{sink, {0}}}));
+  ASSERT_EQ(result->witnesses.size(), 1u);
+  EXPECT_EQ(result->witnesses[0].source_site, *sources.begin());
+  EXPECT_EQ(result->witnesses[0].source_call, "scan");
+  for (const auto& [fn, vars] : result->taint.tainted_vars) {
+    for (const auto& [var, tokens] : vars) {
+      EXPECT_EQ(tokens, sources) << fn << "." << var;
+    }
+  }
 }
 
 TEST(TaintFlowTest, SingleExpressionConcatIsNotAConcatBuild) {
@@ -595,11 +653,9 @@ fn main() {
   print(r);
 }
 )");
-  TaintFlowOptions options;
-  options.config.source_calls = {"scan"};
-  options.config.sink_calls = {"db_query"};
+  IfdsOptions options = InjectionOptions();
   options.track_concat_builds = true;
-  auto result = RunTaintFlowAnalysis(program, options);
+  auto result = RunIfdsTaint(program, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->taint.labeled_sinks.size(), 1u);
   EXPECT_TRUE(result->sink_concat_builds.empty());

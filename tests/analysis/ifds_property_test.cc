@@ -1,7 +1,8 @@
-// Corpus-wide properties of the leakage-witness engine:
-//   * soundness — the feasibility-filtered IFDS facts are a subset of the
-//     flow-sensitive taint facts, and exactly equal with the filter off
-//     (labeled ⊎ pruned always reconstructs the unfiltered set);
+// Corpus-wide properties of the IFDS taint engine:
+//   * soundness — the feasibility-filtered facts are a subset of the
+//     unfiltered ones (labeled ⊎ pruned always reconstructs them), and
+//     the unfiltered labeling equals the golden recorded from the
+//     flow-sensitive pass it replaced;
 //   * realizability — every witness step list walks real CFG edges of
 //     its function (structural join nodes may be skipped);
 //   * determinism — results are bit-identical for any thread-pool size.
@@ -16,9 +17,9 @@
 
 #include "analysis/dataflow/flow_graph.h"
 #include "analysis/dataflow/ifds.h"
-#include "analysis/dataflow/taint_flow.h"
 #include "apps/corpus.h"
 #include "prog/program.h"
+#include "tests/analysis/labeling_golden.h"
 #include "util/thread_pool.h"
 
 namespace adprom::analysis::dataflow {
@@ -68,15 +69,18 @@ std::string Fingerprint(const IfdsResult& r) {
 }
 
 TEST(IfdsPropertyTest, FactsAreSubsetOfFlowSensitiveTaint) {
+  IfdsOptions unfiltered_options;
+  unfiltered_options.feasibility_filter = false;
   for (const prog::Program& program : CorpusPrograms()) {
-    auto flow = RunFlowSensitiveTaint(program, TaintConfig::Default());
-    ASSERT_TRUE(flow.ok());
+    auto unfiltered = RunIfdsTaint(program, unfiltered_options);
+    ASSERT_TRUE(unfiltered.ok());
     auto ifds = RunIfdsTaint(program, {});
     ASSERT_TRUE(ifds.ok());
-    // Filtered facts ⊆ flow-sensitive facts…
+    const auto& all = unfiltered->taint.labeled_sinks;
+    // Filtered facts ⊆ unfiltered facts…
     for (const auto& [sink, sources] : ifds->taint.labeled_sinks) {
-      auto it = flow->labeled_sinks.find(sink);
-      ASSERT_NE(it, flow->labeled_sinks.end()) << "sink " << sink;
+      auto it = all.find(sink);
+      ASSERT_NE(it, all.end()) << "sink " << sink;
       for (int s : sources) {
         EXPECT_TRUE(it->second.count(s) > 0) << sink << "<-" << s;
       }
@@ -84,23 +88,19 @@ TEST(IfdsPropertyTest, FactsAreSubsetOfFlowSensitiveTaint) {
     // …and labeled ⊎ pruned reconstructs them exactly.
     std::map<int, std::set<int>> unioned = ifds->taint.labeled_sinks;
     for (const auto& [sink, sources] : ifds->pruned_sinks) {
-      unioned[sink].insert(sources.begin(), sources.end());
+      for (int s : sources) {
+        EXPECT_TRUE(unioned[sink].insert(s).second) << sink << "<-" << s;
+      }
     }
-    EXPECT_EQ(unioned, flow->labeled_sinks);
+    EXPECT_EQ(unioned, all);
   }
 }
 
 TEST(IfdsPropertyTest, FilterOffEqualsFlowSensitiveTaint) {
+  // Witnesses and columns stay on: neither tier may change the labeling.
   IfdsOptions options;
   options.feasibility_filter = false;
-  for (const prog::Program& program : CorpusPrograms()) {
-    auto flow = RunFlowSensitiveTaint(program, TaintConfig::Default());
-    ASSERT_TRUE(flow.ok());
-    auto ifds = RunIfdsTaint(program, options);
-    ASSERT_TRUE(ifds.ok());
-    EXPECT_EQ(ifds->taint.labeled_sinks, flow->labeled_sinks);
-    EXPECT_TRUE(ifds->pruned_sinks.empty());
-  }
+  EXPECT_EQ(golden::LabelingDigest(options), golden::kDefaultLabeling);
 }
 
 TEST(IfdsPropertyTest, WitnessesWalkRealCfgEdges) {

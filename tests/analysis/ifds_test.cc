@@ -1,5 +1,5 @@
-// Unit tests of the demand-driven leakage-witness engine: plain
-// reachability matches the flow-sensitive taint facts, the feasibility
+// Unit tests of the IFDS taint engine's demand-driven tiers: plain
+// reachability keeps every taint fact, the feasibility
 // filter prunes contradicting-guard flows, witnesses trace real CFG
 // paths through callees, and column resolution expands SELECT * via the
 // schema catalog.

@@ -204,23 +204,6 @@ fn main() {
   EXPECT_TRUE(report.findings.empty()) << report.Format("t");
 }
 
-TEST(LintTest, ChecksCanBeDisabled) {
-  LintOptions options;
-  options.check_dead_stores = false;
-  options.check_unreachable = false;
-  const LintReport report = LintSource(R"(
-fn main() {
-  var a = 1;
-  a = 2;
-  print(a);
-  return 0;
-  print("never");
-}
-)",
-                                       options);
-  EXPECT_TRUE(report.findings.empty()) << report.Format("t");
-}
-
 TEST(LintTest, FindingsAreSortedByLine) {
   const LintReport report = LintSource(R"(
 fn main() {
@@ -328,25 +311,6 @@ fn main() {
   }
   ASSERT_EQ(oob.size(), 1u) << report.Format("t");
   EXPECT_EQ(oob[0].line, 5);
-}
-
-TEST(LintTest, IntervalChecksCanBeDisabled) {
-  LintOptions options;
-  options.check_infeasible_branch = false;
-  options.check_div_zero = false;
-  options.check_const_index = false;
-  const LintReport report = LintSource(R"(
-fn main() {
-  var x = 1;
-  if (x > 2) { print("never"); }
-  var d = 0;
-  print(10 / d);
-  var r = db_query("SELECT a FROM t");
-  print(db_getvalue(r, 0, 7));
-}
-)",
-                                       options);
-  EXPECT_TRUE(report.findings.empty()) << report.Format("t");
 }
 
 TEST(LintTest, RequiresFinalizedProgram) {

@@ -1,17 +1,19 @@
-// Property tests of the flow-sensitive taint pass on generator-fuzzed
-// programs: its labels are a subset of the flow-insensitive pass's labels
-// (strong updates only ever remove spurious flows), the fixpoint is
-// bit-identical for every thread-pool size, and the Analyzer's ablation
-// flag reproduces the legacy pass exactly. (That dynamic taint stays
-// statically covered under the flow-sensitive default is checked
-// end-to-end by core/taint_property_test.cc.)
+// Property tests of the flow-sensitive DDG labeler (the IFDS engine with
+// the feasibility filter and witnesses off) on generator-fuzzed programs:
+// its labels are a subset of the flow-insensitive pass's labels (strong
+// updates only ever remove spurious flows), the fixpoint is bit-identical
+// for every thread-pool size, the Analyzer's default labels exactly what
+// the labeler does, and its ablation flag reproduces the legacy pass
+// exactly. (That dynamic taint stays statically covered under the
+// flow-sensitive default is checked end-to-end by
+// core/taint_property_test.cc.)
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "analysis/dataflow/taint_flow.h"
+#include "analysis/dataflow/ifds.h"
 #include "analysis/taint.h"
 #include "core/analyzer.h"
 #include "prog/generator.h"
@@ -20,6 +22,18 @@
 
 namespace adprom::analysis::dataflow {
 namespace {
+
+/// The DDG labeler as the Analyzer runs it.
+util::Result<TaintResult> Label(const prog::Program& program,
+                                util::ThreadPool* pool = nullptr) {
+  IfdsOptions options;
+  options.column_taint = false;
+  options.feasibility_filter = false;
+  options.witnesses = false;
+  options.pool = pool;
+  ADPROM_ASSIGN_OR_RETURN(IfdsResult result, RunIfdsTaint(program, options));
+  return std::move(result.taint);
+}
 
 class TaintFlowPropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
@@ -38,9 +52,8 @@ class TaintFlowPropertyTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(TaintFlowPropertyTest, FlowSensitiveLabelsAreASubset) {
   const prog::Program program = Generate();
-  const TaintConfig config = TaintConfig::Default();
-  auto fs = RunFlowSensitiveTaint(program, config);
-  auto fi = RunTaintAnalysis(program, config);
+  auto fs = Label(program);
+  auto fi = RunTaintAnalysis(program, TaintConfig::Default());
   ASSERT_TRUE(fs.ok()) << fs.status().ToString();
   ASSERT_TRUE(fi.ok()) << fi.status().ToString();
   for (const auto& [site, sources] : fs->labeled_sinks) {
@@ -59,12 +72,11 @@ TEST_P(TaintFlowPropertyTest, FlowSensitiveLabelsAreASubset) {
 
 TEST_P(TaintFlowPropertyTest, FixpointIsIdenticalForEveryPoolSize) {
   const prog::Program program = Generate();
-  const TaintConfig config = TaintConfig::Default();
-  auto serial = RunFlowSensitiveTaint(program, config, nullptr);
+  auto serial = Label(program);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (size_t threads : {1u, 2u, 4u}) {
     util::ThreadPool pool(threads);
-    auto pooled = RunFlowSensitiveTaint(program, config, &pool);
+    auto pooled = Label(program, &pool);
     ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
     EXPECT_TRUE(pooled->labeled_sinks == serial->labeled_sinks &&
                 pooled->tainted_vars == serial->tainted_vars)
@@ -89,7 +101,7 @@ TEST_P(TaintFlowPropertyTest, AblationFlagReproducesLegacyPass) {
   core::Analyzer modern;
   auto modern_result = modern.Analyze(program);
   ASSERT_TRUE(modern_result.ok()) << modern_result.status().ToString();
-  auto fs = RunFlowSensitiveTaint(program, TaintConfig::Default());
+  auto fs = Label(program);
   ASSERT_TRUE(fs.ok());
   EXPECT_TRUE(modern_result->taint.labeled_sinks == fs->labeled_sinks &&
               modern_result->taint.tainted_vars == fs->tainted_vars);

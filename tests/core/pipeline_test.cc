@@ -197,6 +197,7 @@ TEST(NestingLimitTest, ProgramsAtTheParserLimitAnalyze) {
       prog::testing::NestedIfs((limit - 2) / 2),
       prog::testing::ElseIfChain(limit - 4),
       prog::testing::NotChain(limit - 2),
+      prog::testing::OperatorChain(limit - 1),
   };
   for (const std::string& source : sources) {
     auto program = prog::ParseProgram(source);

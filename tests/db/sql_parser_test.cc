@@ -175,6 +175,11 @@ TEST(SqlParserTest, DeepNestingFailsClosed) {
   // either one into a program's query at run time.
   ExpectNestingError(NestedWhere(30000, 0));
   ExpectNestingError(NestedWhere(0, 100000));
+  // Operator chains are parsed in a loop, but they build left-deep trees
+  // that the evaluator and the destructors then walk recursively.
+  const std::string query = "SELECT a FROM t WHERE a = 0";
+  ExpectNestingError(query + Repeat(" OR 1 = 1", 100000));
+  ExpectNestingError(query + Repeat(" AND 1 = 1", 100000));
 }
 
 TEST(SqlParserTest, NestingExactlyAtTheLimitParsesAndRuns) {
@@ -192,6 +197,12 @@ TEST(SqlParserTest, NestingExactlyAtTheLimitParsesAndRuns) {
                                       << " NOTs";
     ExpectNestingError(NestedWhere(parens + 1, nots));
   }
+  // Each OR link is one level below the WHERE expression's.
+  std::string chain = "SELECT a FROM t WHERE a = 0";
+  chain += Repeat(" OR 1 = 1", limit - 1);
+  EXPECT_TRUE(ParseSql(chain).ok());
+  EXPECT_TRUE(db.Execute(chain).ok());
+  ExpectNestingError(chain + " OR 1 = 1");
 }
 
 }  // namespace

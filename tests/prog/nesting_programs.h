@@ -50,6 +50,13 @@ inline std::string NotChain(size_t count) {
          "1;\n  print(x);\n}\n";
 }
 
+/// `y = x op x op ...` with `count` links of the binary operator `op`
+/// (a left-deep tree): level count + 1.
+inline std::string OperatorChain(size_t count, const std::string& op = "+") {
+  return "fn main() {\n  var x = 1;\n  var y = x" +
+         Repeat(" " + op + " x", count) + ";\n  print(y);\n}\n";
+}
+
 }  // namespace adprom::prog::testing
 
 #endif  // ADPROM_TESTS_PROG_NESTING_PROGRAMS_H_

@@ -207,6 +207,9 @@ TEST(ParserTest, DeepNestingFailsClosed) {
   ExpectNestingError(testing::NestedIfs(20000), "20,000 nested ifs");
   ExpectNestingError(testing::ElseIfChain(20000), "20,000-branch else-if");
   ExpectNestingError(testing::NotChain(20000), "20,000 prefix !");
+  ExpectNestingError(testing::OperatorChain(100000), "100,000-term + chain");
+  ExpectNestingError(testing::OperatorChain(100000, "||"),
+                     "100,000-term || chain");
   auto parens = ParseProgram(testing::NestedParens(5000));
   ASSERT_FALSE(parens.ok());
   EXPECT_NE(parens.status().ToString().find("line 2:"), std::string::npos)
@@ -228,6 +231,8 @@ TEST(ParserTest, NestingExactlyAtTheLimitParses) {
       {"else-if chain", testing::ElseIfChain(limit - 4),
        testing::ElseIfChain(limit - 3)},
       {"prefix !", testing::NotChain(limit - 2), testing::NotChain(limit - 1)},
+      {"operator chain", testing::OperatorChain(limit - 1),
+       testing::OperatorChain(limit)},
   };
   for (const Case& c : cases) {
     auto program = ParseProgram(c.at_limit);

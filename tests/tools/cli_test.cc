@@ -186,15 +186,21 @@ TEST(CliTest, MonitorSurvivesDeeplyNestedSqlInjection) {
                        Sample("seed.sql"), "--cases", Sample("cases.txt"),
                        "--out", profile_path})
                   .status.ok());
-  // A tautology payload wrapped in 30,000 parentheses (60 KB) reaches the
-  // SQL parser through find_item's concatenated query. The run must end
-  // with a Status or a verdict, never a signal.
-  const std::string payload = "1' OR " + std::string(30000, '(') + "1 = 1" +
-                              std::string(30000, ')') + " OR 'a' = 'a";
-  const CliRun run =
-      RunTool({"monitor", Sample("app.mini"), "--db", Sample("seed.sql"),
-               "--profile", profile_path, "--input", "find," + payload});
-  EXPECT_TRUE(run.status.ok() || !run.status.message().empty());
+  // Tautology payloads reach the SQL parser through find_item's
+  // concatenated query: one wrapped in 30,000 parentheses (60 KB), one
+  // chained from 100,000 OR terms (1 MB). Each run must end with a Status
+  // or a verdict, never a signal.
+  std::string nested = "1' OR " + std::string(30000, '(') + "1 = 1";
+  nested += std::string(30000, ')') + " OR 'a' = 'a";
+  std::string chain = "1' OR 1 = 1";
+  for (int i = 0; i < 100000; ++i) chain += " OR 1 = 1";
+  chain += " OR 'a' = 'a";
+  for (const std::string& payload : {nested, chain}) {
+    const CliRun run =
+        RunTool({"monitor", Sample("app.mini"), "--db", Sample("seed.sql"),
+                 "--profile", profile_path, "--input", "find," + payload});
+    EXPECT_TRUE(run.status.ok() || !run.status.message().empty());
+  }
   std::remove(profile_path.c_str());
 }
 

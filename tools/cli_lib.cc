@@ -906,7 +906,6 @@ util::Result<size_t> CmdLint(const ParsedArgs& args, std::ostream& out) {
           report.stats.injection_seconds, report.stats.exfil_seconds);
       PrintCacheLine(out, "absint", report.stats.absint_cache);
       PrintCacheLine(out, "taint", report.stats.taint_cache);
-      PrintCacheLine(out, "ifds", report.stats.ifds_cache);
     }
   } else {
     return util::Status::InvalidArgument("unknown --format: " + format);
